@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "batch/simd/dispatch.hpp"
 #include "core/policy_factory.hpp"
 #include "obs/manifest.hpp"
 #include "obs/obs.hpp"
@@ -59,25 +58,6 @@ inline bool parse_on_off(const char* text, bool& out) {
   return false;
 }
 
-/// Parse a SIMD mode flag value ("--simd on|off|auto") into `out`.
-/// Returns false on anything else so the caller can fall through to
-/// usage().  Width selection within "on"/"auto" belongs to FSC_SIMD.
-inline bool parse_simd_mode(const char* text, fsc::simd::SimdMode& out) {
-  if (std::strcmp(text, "on") == 0) {
-    out = fsc::simd::SimdMode::kOn;
-    return true;
-  }
-  if (std::strcmp(text, "off") == 0) {
-    out = fsc::simd::SimdMode::kOff;
-    return true;
-  }
-  if (std::strcmp(text, "auto") == 0) {
-    out = fsc::simd::SimdMode::kAuto;
-    return true;
-  }
-  return false;
-}
-
 /// Outcome of offering one argv slot to the shared scenario-flag parser.
 enum class ScenarioFlag {
   kNotMine,   ///< not a shared scenario flag; the caller's loop handles it
@@ -91,7 +71,7 @@ enum class ScenarioFlag {
 ///                     flags AFTER it override the file's values
 ///   --dtm POLICY --traces DIR --trace-pack FILE --slots N --threads N
 ///   --seed S --duration SECS --zone K --batched on|off --chunk N
-///   --executor on|off --gather on|off --simd on|off|auto --no-plenum
+///   --executor on|off --gather on|off --no-plenum
 ///   --rooms N --plant-watts W --supply-amplitude C --facility-period S
 ///   --two-level on|off   (facility-scale; ignored by build_rack/build_room)
 ///
@@ -186,12 +166,6 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
   if (arg == "--gather") {
     if (!has_value || !parse_on_off(argv[++i], spec.gather)) {
       return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--simd") {
-    if (!has_value || !parse_simd_mode(argv[++i], spec.simd)) {
-      return bad("expected on|off|auto");
     }
     return ScenarioFlag::kConsumed;
   }

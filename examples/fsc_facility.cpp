@@ -21,7 +21,7 @@
 //                [--facility-period S] [--two-level on|off] [--no-pin]
 //                [--budget WATTS] [--step FRAC]
 //                [--batched on|off] [--chunk N] [--executor on|off]
-//                [--simd on|off|auto] [--no-cross-plenum] [--no-plenum]
+//                [--no-cross-plenum] [--no-plenum]
 //                [--trace-out FILE.json] [--metrics-out FILE]
 //                [--metrics-every N] [--progress]
 //                [--out FILE.json] [--csv FILE.csv] [--list-policies]
@@ -69,8 +69,7 @@ int usage(const char* argv0) {
                "       [--two-level on|off] [--no-pin] [--budget WATTS] "
                "[--step FRAC]\n"
                "       [--batched on|off] [--chunk N] [--executor on|off]\n"
-               "       [--simd on|off|auto] [--no-cross-plenum] "
-               "[--no-plenum]\n"
+               "       [--no-cross-plenum] [--no-plenum]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"
                "       [--progress] [--out FILE.json] [--csv FILE.csv] "

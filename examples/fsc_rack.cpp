@@ -16,7 +16,6 @@
 //            [--traces DIR] [--slots N]
 //            [--threads N] [--seed S] [--duration SECS] [--budget WATTS]
 //            [--zone K] [--batched on|off] [--chunk N] [--executor on|off]
-//            [--simd on|off|auto]
 //            [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
 //            [--progress]
 //            [--no-plenum] [--out FILE.json] [--csv FILE.csv]
@@ -36,10 +35,6 @@
 //               over (0 = auto); any value is bit-identical, for sweeps
 //   --executor  persistent lockstep executor (default on) vs per-round
 //               ThreadPool submission — bit-identical, for A/B timing
-//   --simd      explicitly vectorized plant kernel (default off = the
-//               bit-identical scalar reference); "on" forces the widest
-//               supported width (FSC_SIMD=avx2|sse2|neon|scalar overrides),
-//               "auto" enables it only on hosts with a vector unit
 //   --trace-out Chrome/Perfetto trace-event JSON of the run (coordination
 //               rounds, executor shards, plenum updates, fault instants) —
 //               load the file in https://ui.perfetto.dev; telemetry never
@@ -72,7 +67,6 @@ int usage(const char* argv0) {
                "[--budget WATTS]\n"
                "       [--zone K] [--batched on|off] [--chunk N] "
                "[--executor on|off]\n"
-               "       [--simd on|off|auto]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"
                "       [--progress]\n"

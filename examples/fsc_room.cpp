@@ -19,7 +19,6 @@
 //            [--racks K] [--slots N] [--traces DIR] [--threads N]
 //            [--seed S] [--duration SECS] [--budget WATTS] [--step FRAC]
 //            [--batched on|off] [--chunk N] [--executor on|off]
-//            [--simd on|off|auto]
 //            [--no-cross-plenum] [--no-plenum]
 //            [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
 //            [--progress]
@@ -37,9 +36,6 @@
 //                  one-task-per-server path — bit-identical, for A/B timing
 //   --chunk        lanes per batch chunk, the shard unit threads
 //                  parallelise over (0 = auto); bit-identical, for sweeps
-//   --simd         explicitly vectorized plant kernel per rack (default
-//                  off = the bit-identical scalar reference); FSC_SIMD
-//                  overrides the width when enabled
 //   --executor     persistent lockstep executor (default on) vs per-round
 //                  ThreadPool submission — bit-identical, for A/B timing
 //   --trace-out    Chrome/Perfetto trace-event JSON of the run (rounds,
@@ -74,7 +70,6 @@ int usage(const char* argv0) {
                "       [--seed S] [--duration SECS] [--budget WATTS] "
                "[--step FRAC]\n"
                "       [--batched on|off] [--chunk N] [--executor on|off]\n"
-               "       [--simd on|off|auto]\n"
                "       [--no-cross-plenum] [--no-plenum]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"

@@ -142,7 +142,6 @@ struct CoupledRackEngine::Session::Impl {
       stepper = std::make_unique<RackBatchStepper>();
       stepper->set_chunk_lanes(params.chunk);
       for (const auto& rt : slots) stepper->add_slot(*rt->session, rt->server);
-      stepper->set_simd(simd::resolve_mode(params.simd));
       if (params.gather) {
         // Batched demand path: table every lane once, up front.  A single
         // non-tableable workload drops the whole table — the classic

@@ -13,6 +13,12 @@ SimulationEngine::SimulationEngine(const SimulationParams& params)
   require(params_.cpu_period_s >= params_.physics_dt_s,
           "SimulationEngine: cpu period must be >= physics dt");
   require(params_.duration_s > 0.0, "SimulationEngine: duration must be > 0");
+  // Session stores ceil(duration / period) as a long; a non-finite or
+  // larger ratio would make that conversion undefined behaviour.
+  const double periods = std::ceil(params_.duration_s / params_.cpu_period_s);
+  require(std::isfinite(periods) && periods <= 0x1p62,
+          "SimulationEngine: duration / cpu period must be at most 2^62 "
+          "periods");
 }
 
 void SimulationEngine::add_sink(InstrumentationSink* sink) {

@@ -13,23 +13,6 @@
 
 namespace fsc {
 
-const char* to_string(simd::SimdMode mode) noexcept {
-  switch (mode) {
-    case simd::SimdMode::kOff: return "off";
-    case simd::SimdMode::kOn: return "on";
-    case simd::SimdMode::kAuto: return "auto";
-  }
-  return "unknown";
-}
-
-simd::SimdMode simd_mode_from_string(const std::string& name) {
-  if (name == "off") return simd::SimdMode::kOff;
-  if (name == "on") return simd::SimdMode::kOn;
-  if (name == "auto") return simd::SimdMode::kAuto;
-  throw std::invalid_argument("ScenarioSpec: unknown simd mode '" + name +
-                              "' (off|on|auto)");
-}
-
 void ScenarioSpec::validate() const {
   require(racks > 0, "ScenarioSpec: need at least one rack");
   require(slots > 0, "ScenarioSpec: need at least one slot per rack");
@@ -94,7 +77,6 @@ CoupledRackParams ScenarioSpec::build_rack() const {
   p.chunk = chunk;
   p.executor = executor;
   p.gather = gather;
-  p.simd = simd;
   if (!coordinator.empty()) p.coordinator = coordinator;
   if (!dtm.empty()) p.rack.policy = dtm;
   if (rack_budget_watts >= 0.0) {
@@ -129,7 +111,6 @@ RoomParams ScenarioSpec::build_room() const {
     rack.batched = batched;
     rack.chunk = chunk;
     rack.gather = gather;
-    rack.simd = simd;
     if (!coordinator.empty()) rack.coordinator = coordinator;
     if (!dtm.empty()) rack.rack.policy = dtm;
     if (rack_budget_watts >= 0.0) {
@@ -191,7 +172,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("batched", json::Value::boolean(batched));
   o.set("executor", json::Value::boolean(executor));
   o.set("gather", json::Value::boolean(gather));
-  o.set("simd", json::Value::string(to_string(simd)));
   o.set("trace_dir", json::Value::string(trace_dir));
   o.set("trace_pack", json::Value::string(trace_pack));
   o.set("faults", json::Value::parse(faults.to_json()));
@@ -260,8 +240,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.executor = value.as_bool();
     } else if (key == "gather") {
       spec.gather = value.as_bool();
-    } else if (key == "simd") {
-      spec.simd = simd_mode_from_string(value.as_string());
     } else if (key == "trace_dir") {
       spec.trace_dir = value.as_string();
     } else if (key == "trace_pack") {

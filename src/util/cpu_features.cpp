@@ -48,14 +48,14 @@ CpuFeatures probe() {
     f.avx2 = cpu_avx && ymm_ok && (ebx & (1u << 5)) != 0;
     f.avx512f = zmm_ok && (ebx & (1u << 16)) != 0;
   }
-  f.fma = cpu_fma && f.avx2;  // only usable where the AVX2 kernel runs
+  f.fma = cpu_fma && f.avx2;  // reported only alongside usable AVX2
   return f;
 }
 
 #elif defined(__aarch64__)
 
 CpuFeatures probe() {
-  // Advanced SIMD (incl. fused multiply-add) is mandatory in AArch64; an
+  // NEON (incl. fused multiply-add) is mandatory in AArch64; an
   // auxv AT_HWCAP probe would only re-confirm it.
   CpuFeatures f;
   f.neon = true;

@@ -1,13 +1,15 @@
-// Runtime CPU vector-ISA detection for the SIMD plant kernel's dispatch
-// (batch/simd/dispatch.hpp) and for the bench trajectory headers: every
-// committed BENCH_*.json should say which vector unit produced its numbers,
-// so a scalar-host run is never mistaken for an AVX2 regression.
+// Runtime CPU vector-ISA detection, recorded as host provenance: the run
+// manifest (obs/manifest.hpp) and the bench trajectory headers print the
+// probe line, so every committed BENCH_*.json and CLI report says which
+// vector unit produced its numbers.  Nothing in the simulator dispatches
+// on it; the plant kernel is plain C++ the compiler vectorizes for the
+// build's baseline ISA.
 //
 // Detection is cpuid-based on x86 (leaf 1 for SSE2/FMA/OSXSAVE, leaf 7 for
 // AVX2, plus the XGETBV check that the OS actually saves the YMM state —
 // without it an AVX2 cpuid bit is a lie on pre-AVX kernels).  On AArch64
-// NEON (Advanced SIMD) is architecturally mandatory, so no auxv probe is
-// needed; every other platform reports scalar-only.  The probe runs once
+// NEON is architecturally mandatory, so no auxv probe is needed; every
+// other platform reports scalar-only.  The probe runs once
 // and is cached (it is a handful of serializing instructions, not free).
 #pragma once
 
@@ -22,7 +24,7 @@ struct CpuFeatures {
   bool sse2 = false;
   bool avx2 = false;
   bool fma = false;     ///< FMA3 (x86) / fused multiply-add (NEON baseline)
-  bool avx512f = false; ///< reported for the bench header; no kernel uses it yet
+  bool avx512f = false; ///< reported for the provenance line only
   bool neon = false;
 };
 
@@ -30,8 +32,8 @@ struct CpuFeatures {
 const CpuFeatures& cpu_features() noexcept;
 
 /// One-line human-readable summary, e.g. "x86-64: sse2 avx2 fma avx512f" or
-/// "aarch64: neon" or "scalar-only" — printed by every bench so committed
-/// trajectories record the host's vector ISA.
+/// "aarch64: neon" or "scalar-only" — printed by every bench and stamped into
+/// every run manifest, so results record the host's vector ISA.
 std::string cpu_features_line();
 
 /// NUMA topology of the host, for topology-aware worker-group placement

@@ -13,7 +13,7 @@ namespace {
 std::size_t sample_count(double duration_s, double period_s) {
   require(duration_s > 0.0, "synthetic workload: duration must be > 0");
   require(period_s > 0.0, "synthetic workload: sample period must be > 0");
-  return static_cast<std::size_t>(std::ceil(duration_s / period_s));
+  return trace_sample_count(duration_s, period_s, "synthetic workload");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "util/units.hpp"
 
@@ -23,6 +24,15 @@ double SquareWaveWorkload::demand(double t) const {
   if (t < 0.0) t = 0.0;
   const double phase = std::fmod(t, period_s_);
   return phase < 0.5 * period_s_ ? low_ : high_;
+}
+
+std::size_t trace_sample_count(double duration_s, double period_s,
+                               const char* who) {
+  const double n = std::ceil(duration_s / period_s);
+  require(std::isfinite(n) && n <= static_cast<double>(kMaxTraceSamples),
+          std::string(who) + ": duration / sample period must give at most " +
+              std::to_string(kMaxTraceSamples) + " samples");
+  return static_cast<std::size_t>(n);
 }
 
 SampledWorkload::SampledWorkload(std::vector<double> samples, double sample_period_s)

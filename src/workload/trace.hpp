@@ -39,6 +39,19 @@ inline std::size_t zoh_index(double t, double inv_period, double period_s,
   return idx < n ? idx : n - 1;
 }
 
+/// Most samples one generated or exported trace may hold: 2^28, about
+/// 8.5 years at the 1 s control period and 2 GiB of doubles.  A longer
+/// request is a units slip (a duration given in ms, say), not a trace
+/// anyone can hold in memory.
+inline constexpr std::size_t kMaxTraceSamples = std::size_t{1} << 28;
+
+/// ceil(duration_s / period_s) as a sample count; both must already be
+/// checked > 0.  Throws std::invalid_argument, prefixed with `who`, when
+/// the ratio is not finite or exceeds kMaxTraceSamples: converting such a
+/// ratio to std::size_t is undefined behaviour.
+std::size_t trace_sample_count(double duration_s, double period_s,
+                               const char* who);
+
 /// Interface: demanded utilization over time.  Implementations must return
 /// values in [0, 1] and be deterministic for a fixed construction (all
 /// randomness is drawn at construction/creation time so that repeated

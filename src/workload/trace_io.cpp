@@ -19,7 +19,8 @@ std::string workload_to_csv(const Workload& w, double duration_s,
   std::ostringstream out;
   CsvWriter csv(out, 9);
   csv.header({"time", "utilization"});
-  const auto n = static_cast<std::size_t>(std::ceil(duration_s / sample_period_s));
+  const std::size_t n =
+      trace_sample_count(duration_s, sample_period_s, "workload_to_csv");
   for (std::size_t i = 0; i < n; ++i) {
     const double t = static_cast<double>(i) * sample_period_s;
     csv.row({t, w.demand(t)});

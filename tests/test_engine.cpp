@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/policy_factory.hpp"
@@ -204,6 +205,12 @@ TEST(SimulationEngine, ValidatesParams) {
   EXPECT_THROW(SimulationEngine{p}, std::invalid_argument);
   p = SimulationParams{};
   p.duration_s = 0.0;
+  EXPECT_THROW(SimulationEngine{p}, std::invalid_argument);
+  // The period count is stored as a long: a huge or infinite duration is
+  // refused instead of overflowing the conversion.
+  p.duration_s = 1e308;
+  EXPECT_THROW(SimulationEngine{p}, std::invalid_argument);
+  p.duration_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(SimulationEngine{p}, std::invalid_argument);
 }
 

@@ -321,7 +321,6 @@ TEST(ObsTrace, ScopedSpanOnNullRecorderIsNoOp) {
 TEST(ObsManifest, CollectsAndSerializesValidJson) {
   obs::RunManifest m = obs::RunManifest::collect();
   EXPECT_FALSE(m.cpu_features.empty());
-  EXPECT_FALSE(m.simd_dispatch.empty());
   m.threads = 4;
   m.seed = 99;
   m.command = "fsc_room --racks 4 \"quoted\"";

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "coord/coordinator.hpp"
 #include "core/policy_factory.hpp"
@@ -154,7 +155,6 @@ ScenarioSpec fancy_spec() {
   spec.chunk = 2;
   spec.batched = false;
   spec.executor = false;
-  spec.simd = simd::SimdMode::kAuto;
   spec.trace_dir = "traces/";
   spec.faults.events.push_back(
       {FaultKind::kSensorNoisy, 1, 3, 120.0, 60.0, 3.0});
@@ -178,16 +178,23 @@ TEST(ScenarioSpec, MissingKeysKeepDefaults) {
 }
 
 TEST(ScenarioSpec, UnknownKeyThrows) {
-  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slotz": 3})"),
-               std::invalid_argument);
+  // "simd" is a retired key: a file that still names it must be refused,
+  // not run with the key ignored.
+  for (const char* text : {R"({"slotz": 3})", R"({"simd": "on"})"}) {
+    try {
+      ScenarioSpec::from_json_text(text);
+      ADD_FAILURE() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioSpec, MalformedValuesThrow) {
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slots": -3})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text(R"({"slots": 2.5})"),
-               std::invalid_argument);
-  EXPECT_THROW(ScenarioSpec::from_json_text(R"({"simd": "wide"})"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text("[]"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::from_json_text("{"), std::invalid_argument);
@@ -205,14 +212,6 @@ TEST(ScenarioSpec, FromJsonFileRoundTrip) {
   std::remove(path.c_str());
   EXPECT_THROW(ScenarioSpec::from_json_file("no/such/file.json"),
                std::invalid_argument);
-}
-
-TEST(SimdModeNames, RoundTrip) {
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kOff, simd::SimdMode::kOn, simd::SimdMode::kAuto}) {
-    EXPECT_EQ(simd_mode_from_string(to_string(mode)), mode);
-  }
-  EXPECT_THROW(simd_mode_from_string("wide"), std::invalid_argument);
 }
 
 // ------------------------------------------------------- util/json parser

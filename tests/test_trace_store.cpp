@@ -584,6 +584,7 @@ TEST(TraceFit, SeededVariantsAreDeterministicAndDistinct) {
   const auto w = synthesize_workload(fit, 86400.0, 7);
   EXPECT_EQ(w->size(), static_cast<std::size_t>(std::ceil(86400.0 / 300.0)));
   EXPECT_DOUBLE_EQ(w->sample_period(), 300.0);
+  EXPECT_THROW(synthesize_workload(fit, 1e308, 7), std::invalid_argument);
 }
 
 TEST(TraceFit, BurstyTraceKeepsBurstMass) {

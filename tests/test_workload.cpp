@@ -5,9 +5,11 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/statistics.hpp"
@@ -114,6 +116,40 @@ TEST(SquareNoise, AllSamplesInRange) {
     EXPECT_GE(w->demand(t), 0.0);
     EXPECT_LE(w->demand(t), 1.0);
   }
+}
+
+TEST(SquareNoise, RejectsHugeOrInfiniteDuration) {
+  // ceil(duration / period) must fit the sample-count ceiling; casting a
+  // larger or infinite ratio to std::size_t is undefined behaviour.
+  for (const double duration :
+       {1e308, std::numeric_limits<double>::infinity()}) {
+    Rng rng(1);
+    SquareNoiseParams p;
+    p.duration_s = duration;
+    try {
+      make_square_noise_workload(p, rng);
+      ADD_FAILURE() << "expected std::invalid_argument for " << duration;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("synthetic workload"),
+                std::string::npos)
+          << e.what();
+    }
+    SpikyParams spiky;
+    spiky.base.duration_s = duration;
+    EXPECT_THROW(make_spiky_workload(spiky, rng), std::invalid_argument);
+    DiurnalParams diurnal;
+    diurnal.duration_s = duration;
+    EXPECT_THROW(make_diurnal_workload(diurnal, rng), std::invalid_argument);
+  }
+}
+
+TEST(TraceSampleCount, CeilingIsInclusive) {
+  EXPECT_EQ(trace_sample_count(10.0, 4.0, "t"), 3u);
+  const double ceiling = static_cast<double>(kMaxTraceSamples);
+  EXPECT_EQ(trace_sample_count(ceiling, 1.0, "t"), kMaxTraceSamples);
+  EXPECT_THROW(trace_sample_count(ceiling + 1.0, 1.0, "t"),
+               std::invalid_argument);
+  EXPECT_THROW(trace_sample_count(1.0, 1e-320, "t"), std::invalid_argument);
 }
 
 TEST(Spiky, SpikesReachConfiguredLevel) {
@@ -234,6 +270,14 @@ TEST(TraceIo, RoundTripPreservesSamples) {
   for (double t = 0.0; t < 8.0; t += 0.5) {
     EXPECT_DOUBLE_EQ(loaded->demand(t), original.demand(t)) << "t=" << t;
   }
+}
+
+TEST(TraceIo, ToCsvRejectsHugeOrInfiniteDuration) {
+  const ConstantWorkload w(0.5);
+  EXPECT_THROW(workload_to_csv(w, 1e308, 1.0), std::invalid_argument);
+  EXPECT_THROW(
+      workload_to_csv(w, std::numeric_limits<double>::infinity(), 1.0),
+      std::invalid_argument);
 }
 
 TEST(TraceIo, RejectsNonUniformSpacing) {
