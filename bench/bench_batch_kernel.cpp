@@ -6,8 +6,9 @@
 //
 //   * BM_ScalarServerStep: one Server::step per call, the per-object
 //     baseline from bench_micro_perf;
-//   * BM_BatchedServerStep*/N: ServerBatch::step_all plus the per-server
-//     write-back — what the batched engines do per substep.
+//   * BM_BatchedServerStep*/N: ServerBatch::step_all (plant plus the fused
+//     accounting) with the sensor samples it reports, and the per-server
+//     write-back once per control period — what the batched engines do.
 //
 // The timed fleet is COEFFICIENT-heterogeneous (per-lane Rhs power-law
 // spread, like a rack mixing SKU steppings): this defeats the kernel's
@@ -18,7 +19,7 @@
 //
 // After the timing loops, main() enforces one claim through
 // bench/verdict.hpp on plain-chrono measurements: batched (settled, incl.
-// write-back) beats the scalar baseline by >= 4x at N = 64.  Exit is
+// samples and the per-period write-back) beats the scalar baseline by >= 4x at N = 64.  Exit is
 // non-zero when it regresses.
 //
 // Writes BENCH_batch.json (override via FSC_BENCH_JSON) with the same
@@ -44,6 +45,7 @@ namespace {
 using namespace fsc;
 
 constexpr double kDt = 0.05;  // the engines' physics substep
+constexpr long kSubstepsPerPeriod = 20;  // 1 s control period
 constexpr double kUtilization = 0.5;
 
 /// A coefficient-heterogeneous fleet: per-lane spreads on the Rhs power
@@ -86,22 +88,32 @@ struct Fleet {
     }
   }
 
-  /// One batched physics substep including the per-server write-back —
-  /// what RackBatchStepper does per substep.
+  /// One batched physics substep: the kernel step, the sensor samples it
+  /// reports, and — closing every control period — the per-server
+  /// write-back.  What RackBatchStepper does per substep.
   void substep() {
-    batch.step_all(kDt);
-    for (std::size_t i = 0; i < servers.size(); ++i) {
-      servers[i]->adopt_plant_step(batch.fan_rpm(i), batch.heat_sink_celsius(i),
-                                   batch.junction_celsius(i), batch.cpu_watts(i),
-                                   batch.fan_watts(i), kDt);
+    if (batch.step_all(kDt)) {
+      for (std::size_t i = 0; i < servers.size(); ++i) {
+        for (unsigned k = batch.samples_due(i); k > 0; --k) {
+          servers[i]->sample_sensor(batch.junction_celsius(i));
+        }
+      }
+    }
+    if (++substeps_in_period == kSubstepsPerPeriod) {
+      substeps_in_period = 0;
+      for (std::size_t i = 0; i < servers.size(); ++i) {
+        batch.write_back(i, *servers[i]);
+      }
     }
   }
+
+  long substeps_in_period = 0;
 };
 
 /// Flip the fan command every control period so the fans slew (almost)
 /// continuously — the memo-refresh worst case.
 double slew_command(long substep) {
-  return (substep / 20) % 2 == 0 ? 2500.0 : 7000.0;
+  return (substep / kSubstepsPerPeriod) % 2 == 0 ? 2500.0 : 7000.0;
 }
 
 /// The scalar baseline: equivalent to bench_micro_perf's
@@ -123,7 +135,9 @@ void BM_ScalarServerStepSlewing(benchmark::State& state) {
   Server server = Server::table1_defaults(rng);
   long substep = 0;
   for (auto _ : state) {
-    if (substep % 20 == 0) server.command_fan(slew_command(substep));
+    if (substep % kSubstepsPerPeriod == 0) {
+      server.command_fan(slew_command(substep));
+    }
     server.step(kUtilization, kDt);
     benchmark::DoNotOptimize(server.true_junction());
     ++substep;
@@ -136,7 +150,9 @@ void run_batched_series(benchmark::State& state, bool slewing) {
   Fleet fleet(static_cast<std::size_t>(state.range(0)));
   long substep = 0;
   for (auto _ : state) {
-    if (slewing && substep % 20 == 0) fleet.set_inputs(slew_command(substep));
+    if (slewing && substep % kSubstepsPerPeriod == 0) {
+      fleet.set_inputs(slew_command(substep));
+    }
     fleet.substep();
     benchmark::DoNotOptimize(fleet.batch.junction_celsius(0));
     ++substep;
@@ -219,7 +235,9 @@ void print_memo_hit_rates() {
     Fleet fleet(64, uniform);
     fleet.batch.attach_memo_counters(registry);
     for (long substep = 0; substep < 20000; ++substep) {
-      if (substep % 20 == 0) fleet.set_inputs(slew_command(substep));
+      if (substep % kSubstepsPerPeriod == 0) {
+        fleet.set_inputs(slew_command(substep));
+      }
       fleet.substep();
     }
     report(uniform ? "slewing-uniform" : "slewing", registry);
@@ -237,7 +255,7 @@ bool print_throughput_verdict() {
   }
   std::printf("\n--- batched kernel throughput (n=64, settled fans) ---\n");
   std::printf("scalar  Server::step      : %8.2f ns/server-step\n", scalar_ns);
-  std::printf("batched step_all + adopt  : %8.2f ns/server-step (%.1fx)\n",
+  std::printf("batched step_all + write  : %8.2f ns/server-step (%.1fx)\n",
               batched_ns, scalar_ns / batched_ns);
   print_memo_hit_rates();
   bool ok = true;

@@ -100,26 +100,35 @@ void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
     }
     if (!any_active) return;  // all sessions in this range are done
 
-    // Phase 2 — batched physics: one SoA step over the range, then the
-    // per-slot write-back (sensor, energy, instrumentation).
+    // Phase 2 — batched physics: one SoA step over the range per substep
+    // (plant + accounting), plus the sensor samples of the lanes that
+    // passed a sampling instant.
     for (long s = 0; s < substeps; ++s) {
-      batch_.step_range(lo, hi, dt);
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (!active_[i]) continue;
-        Slot& slot = slots_[i];
-        slot.server->adopt_plant_step(batch_.fan_rpm(i),
-                                      batch_.heat_sink_celsius(i),
-                                      batch_.junction_celsius(i),
-                                      batch_.cpu_watts(i), batch_.fan_watts(i),
-                                      dt);
-        slot.session->note_substep();
-      }
+      if (batch_.step_range(lo, hi, dt)) take_due_samples(lo, hi);
     }
 
-    // Phase 3 — close the period on every slot in the range.
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (active_[i]) slots_[i].session->finish_period();
+    // Phase 3 — write each slot's state back once, then close its period.
+    finish_range_period(lo, hi, substeps);
+  }
+}
+
+void RackBatchStepper::take_due_samples(std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (!active_[i]) continue;
+    for (unsigned k = batch_.samples_due(i); k > 0; --k) {
+      slots_[i].server->sample_sensor(batch_.junction_celsius(i));
     }
+  }
+}
+
+void RackBatchStepper::finish_range_period(std::size_t lo, std::size_t hi,
+                                           long substeps) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (!active_[i]) continue;
+    Slot& slot = slots_[i];
+    batch_.write_back(i, *slot.server);
+    slot.session->note_substeps(substeps);
+    slot.session->finish_period();
   }
 }
 
@@ -175,22 +184,14 @@ void RackBatchStepper::advance_range_periods_masked(std::size_t lo,
     if (!any_batched_active && !any_forced_active) return;  // range is done
 
     if (any_batched_active) {
+      // Forced lanes have active_ = 0, so neither the samples nor the
+      // write-back ever touch them from their stale batch state.
       for (long s = 0; s < substeps; ++s) {
-        for (const auto& [a, b] : segments) batch_.step_range(a, b, dt);
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!active_[i]) continue;
-          Slot& slot = slots_[i];
-          slot.server->adopt_plant_step(batch_.fan_rpm(i),
-                                        batch_.heat_sink_celsius(i),
-                                        batch_.junction_celsius(i),
-                                        batch_.cpu_watts(i),
-                                        batch_.fan_watts(i), dt);
-          slot.session->note_substep();
+        for (const auto& [a, b] : segments) {
+          if (batch_.step_range(a, b, dt)) take_due_samples(a, b);
         }
       }
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (active_[i]) slots_[i].session->finish_period();
-      }
+      finish_range_period(lo, hi, substeps);
     }
   }
 }

@@ -8,9 +8,16 @@
 //   2. the per-slot inputs are gathered ONCE into the SoA kernel (CPU
 //      power at the period's executed utilization, the clamped fan
 //      command, the current inlet temperature), then each physics substep
-//      is one ServerBatch::step_range over the slots followed by the
-//      write-back into each Server (sensor + energy + instrumentation);
-//   3. every slot's finish_period().
+//      is one ServerBatch::step_range over the slots — plant plus energy,
+//      junction and sampling-phase accounting — followed, only at the
+//      substeps where the kernel reports a sensor sampling instant, by
+//      Server::sample_sensor on the lanes that reached one;
+//   3. every slot's state is written back into its Server ONCE
+//      (ServerBatch::write_back), then its finish_period() runs.
+//
+// So between periods — at every coordination barrier, where coordinators,
+// the fault injector, the plenum and the snapshot exporter read or write
+// the Servers — each Server is exactly what Server::step would have left.
 //
 // Slots never interact inside a period (rack coupling happens at the
 // coordination barriers, between advance calls), so interleaving the slots
@@ -106,7 +113,9 @@ class RackBatchStepper {
   /// calls this when a slot's plant stops matching the batch's healthy-
   /// hardware expressions (fan fault, faulted sensor).  Monotonic — a
   /// faulted lane never resynchronises with the batch, because the batch
-  /// arrays hold state the scalar path has since diverged from.  Must only
+  /// arrays hold state the scalar path has since diverged from (it resumes
+  /// from the Server, which the last period's write-back left current, and
+  /// is never written back from the batch again).  Must only
   /// be called between advance waves (at a coordination barrier); throws
   /// std::invalid_argument on a bad index.  While no slot is forced the
   /// stepping code path is exactly the mask-free one.
@@ -122,6 +131,12 @@ class RackBatchStepper {
   };
 
   void advance_range_periods(std::size_t lo, std::size_t hi, long periods);
+  /// Sensor samples owed after a step_range over [lo, hi) that reported a
+  /// sampling instant (active lanes only).
+  void take_due_samples(std::size_t lo, std::size_t hi);
+  /// The once-per-period write-back and finish_period() of every active
+  /// lane in [lo, hi).
+  void finish_range_period(std::size_t lo, std::size_t hi, long substeps);
   /// The fault-era variant: scalar-forced lanes step through their own
   /// Session, the rest through the SoA kernel over the maximal non-forced
   /// sub-ranges.  Only reached once force_scalar() has been called.

@@ -5,7 +5,9 @@
 #include <stdexcept>
 
 #include "batch/plant_kernel.hpp"
+#include "power/energy_meter.hpp"
 #include "sim/server.hpp"
+#include "util/statistics.hpp"
 #include "util/units.hpp"
 
 namespace fsc {
@@ -34,6 +36,23 @@ std::size_t ServerBatch::add_server(const Server& server) {
   fan_slew_.push_back(p.fan.slew_rpm_per_s);
   fan_pmax_.push_back(p.fan_power.power_at_max());
   fan_smax_.push_back(p.fan_power.max_speed());
+  limit_.push_back(server.thermal_limit_celsius());
+  sample_period_.push_back(server.sensor_sample_period());
+
+  const EnergyMeter& energy = server.energy();
+  const RunningStats& tj = server.junction_stats();
+  cpu_joules_.push_back(energy.cpu_energy());
+  fan_joules_.push_back(energy.fan_energy());
+  elapsed_.push_back(energy.elapsed());
+  tj_count_.push_back(static_cast<double>(tj.count()));
+  tj_mean_.push_back(tj.mean());
+  tj_m2_.push_back(tj.m2());
+  tj_sum_.push_back(tj.sum());
+  tj_min_.push_back(tj.min());
+  tj_max_.push_back(tj.max());
+  over_limit_s_.push_back(server.over_limit_seconds());
+  phase_.push_back(server.sensor_phase());
+  samples_due_.push_back(0);
 
   memo_rpm_.push_back(std::numeric_limits<double>::quiet_NaN());
   r_hs_.push_back(0.0);
@@ -68,14 +87,24 @@ void ServerBatch::prepare_dt(double dt) {
   if (dt != last_dt_) refresh_dt(dt);
 }
 
-void ServerBatch::step_all(double dt) {
-  require(dt >= 0.0, "ServerBatch::step_all: dt must be >= 0");
-  if (size() == 0) return;
-  prepare_dt(dt);
-  step_range(0, size(), dt);
+void ServerBatch::write_back(std::size_t i, Server& server) const {
+  server.adopt_batch_state(
+      fan_actual_[i], heat_sink_[i], junction_[i], phase_[i],
+      EnergyMeter(cpu_joules_[i], fan_joules_[i], elapsed_[i]),
+      RunningStats::from_state(static_cast<std::size_t>(tj_count_[i]),
+                               tj_mean_[i], tj_m2_[i], tj_sum_[i], tj_min_[i],
+                               tj_max_[i]),
+      over_limit_s_[i]);
 }
 
-void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
+bool ServerBatch::step_all(double dt) {
+  require(dt >= 0.0, "ServerBatch::step_all: dt must be >= 0");
+  if (size() == 0) return false;
+  prepare_dt(dt);
+  return step_range(0, size(), dt);
+}
+
+bool ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
   // Validate dt before the sentinel comparison: dt = -1.0 would otherwise
   // collide with the "never prepared" last_dt_ marker and sail past the
   // guard below.
@@ -90,7 +119,7 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
         "ServerBatch::step_range: prepare_dt(dt) must run before ranged "
         "stepping");
   }
-  if (lo == hi) return;
+  if (lo == hi) return false;
 
   double* __restrict act = fan_actual_.data();
   const double* __restrict cmd = fan_cmd_.data();
@@ -149,11 +178,24 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
 
   // Pass 3 — branch-free SoA plant update, same per-lane operation order
   // as Server::step: fan power at the new speed, then heat-sink node, then
-  // die node (paper Eqns. 2-3).
+  // die node (paper Eqns. 2-3); then the substep's accounting, each
+  // quantity with its scalar class's exact expressions
+  // (EnergyMeter::accumulate, RunningStats::add — std::min/std::max
+  // spelled as their selects — and the over-limit test).
   {
     double* __restrict t_hs = heat_sink_.data();
     double* __restrict t_j = junction_.data();
     double* __restrict fan_w = fan_watts_.data();
+    double* __restrict cpu_j = cpu_joules_.data();
+    double* __restrict fan_j = fan_joules_.data();
+    double* __restrict elapsed = elapsed_.data();
+    double* __restrict n = tj_count_.data();
+    double* __restrict mean = tj_mean_.data();
+    double* __restrict m2 = tj_m2_.data();
+    double* __restrict sum = tj_sum_.data();
+    double* __restrict lo_tj = tj_min_.data();
+    double* __restrict hi_tj = tj_max_.data();
+    double* __restrict over = over_limit_s_.data();
     const double* __restrict p_cpu = cpu_watts_.data();
     const double* __restrict ambient = ambient_.data();
     const double* __restrict r_hs = r_hs_.data();
@@ -162,14 +204,52 @@ void ServerBatch::step_range(std::size_t lo, std::size_t hi, double dt) {
     const double* __restrict r_die = r_die_.data();
     const double* __restrict pmax = fan_pmax_.data();
     const double* __restrict smax = fan_smax_.data();
+    const double* __restrict limit = limit_.data();
     for (std::size_t i = lo; i < hi; ++i) {
       fan_w[i] = plant::fan_power(pmax[i], smax[i], act[i]);
       const double hs_ss = ambient[i] + r_hs[i] * p_cpu[i];  // Eqn. 3
       t_hs[i] = plant::rc_relax(t_hs[i], hs_ss, hs_decay[i]);
       const double die_ss = t_hs[i] + r_die[i] * p_cpu[i];
-      t_j[i] = plant::rc_relax(t_j[i], die_ss, die_decay[i]);
+      const double tj = plant::rc_relax(t_j[i], die_ss, die_decay[i]);
+      t_j[i] = tj;
+
+      cpu_j[i] += p_cpu[i] * dt;
+      fan_j[i] += fan_w[i] * dt;
+      elapsed[i] += dt;
+
+      n[i] += 1.0;
+      sum[i] += tj;
+      const double delta = tj - mean[i];
+      mean[i] += delta / n[i];
+      m2[i] += delta * (tj - mean[i]);
+      lo_tj[i] = tj < lo_tj[i] ? tj : lo_tj[i];
+      hi_tj[i] = hi_tj[i] < tj ? tj : hi_tj[i];
+
+      over[i] = tj > limit[i] ? over[i] + dt : over[i];
     }
   }
+
+  // Pass 4 — sensor sampling phase (SensorChain::observe's loop).  Apart
+  // from the catch-up loop for dt > sample period, this is one add and one
+  // compare per lane; the samples themselves are the driver's.
+  bool any_due = false;
+  {
+    double* __restrict phase = phase_.data();
+    unsigned* __restrict due = samples_due_.data();
+    const double* __restrict period = sample_period_.data();
+    for (std::size_t i = lo; i < hi; ++i) {
+      double ph = phase[i] + dt;
+      unsigned k = 0;
+      while (ph >= period[i]) {
+        ph -= period[i];
+        ++k;
+      }
+      phase[i] = ph;
+      due[i] = k;
+      any_due = any_due || k != 0;
+    }
+  }
+  return any_due;
 }
 
 }  // namespace fsc

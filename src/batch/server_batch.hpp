@@ -24,14 +24,25 @@
 //     decay factor are constant until the next command — reproduces the
 //     recomputed values bit for bit.
 //
-// The three passes of step_all keep the transcendental refresh (branchy,
-// usually a no-op) out of the main update loop, so pass 1 (slew select)
-// and pass 3 (multiply-add chains) auto-vectorize cleanly.
+// The kernel also carries each server's per-substep accounting, with
+// Server::step's exact operation order per quantity: the energy integrals
+// (CPU joules, fan joules, elapsed seconds), the junction-temperature
+// Welford state of RunningStats::add, the seconds spent above the thermal
+// limit, and the sensor's sampling phase (`phase += dt; while (phase >=
+// period) phase -= period`).  So a substep touches no Server at all;
+// write_back() hands everything to the Server once per control period.
 //
-// What is NOT here: the sensor chain, energy metering, and per-slot RNG
-// stay in the Server (they are cheap, stateful, and sometimes random);
-// batch/rack_stepper.hpp mirrors each substep's results back into the
-// Servers so every observer keeps working unchanged.
+// The four passes of step_range keep the transcendental refresh (branchy,
+// usually a no-op) and the sampling-phase loop out of the main update
+// loop, so pass 1 (slew select) and pass 3 (multiply-add chains plus the
+// accounting) stay straight-line per-lane arithmetic and selects.
+//
+// What is NOT here: the sensor's sample itself (noise, delay line, ADC)
+// and the per-slot RNG stay in the Server — they are stateful, sometimes
+// random, and needed only at the ~1-in-20 substeps where a sampling
+// instant falls.  step_range reports those instants (samples_due) and the
+// driver (batch/rack_stepper.hpp) calls Server::sample_sensor for exactly
+// those lanes.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +59,10 @@ class Server;
 class ServerBatch {
  public:
   /// Append `server`'s plant: closed-form coefficients plus the current
-  /// actuator/thermal state.  Returns the slot index.  The server should
-  /// already be settled at its initial operating point (the engines
-  /// construct their Sessions first, then gather).
+  /// actuator/thermal state, sampling phase and accounting (energy,
+  /// junction statistics, time over its thermal limit).  Returns the slot
+  /// index.  The server should already be settled at its initial operating
+  /// point (the engines construct their Sessions first, then gather).
   std::size_t add_server(const Server& server);
 
   std::size_t size() const noexcept { return junction_.size(); }
@@ -63,12 +75,12 @@ class ServerBatch {
   void set_inputs(std::size_t i, double cpu_watts, double fan_cmd_rpm,
                   double inlet_celsius);
 
-  /// Advance every slot by one physics substep of `dt` seconds.  Throws
-  /// std::invalid_argument when dt < 0.  Refreshes the dt-dependent decay
-  /// memos on a dt change, so it must only be called single-threaded (the
-  /// whole-batch path); concurrent chunk stepping goes through
-  /// prepare_dt() + step_range().
-  void step_all(double dt);
+  /// Advance every slot by one physics substep of `dt` seconds; returns
+  /// step_range()'s sampling-instant flag.  Throws std::invalid_argument
+  /// when dt < 0.  Refreshes the dt-dependent decay memos on a dt change,
+  /// so it must only be called single-threaded (the whole-batch path);
+  /// concurrent chunk stepping goes through prepare_dt() + step_range().
+  bool step_all(double dt);
 
   /// Refresh the dt-dependent decay memos for `dt` (no-op when `dt` is
   /// already prepared).  Must be called — single-threaded — before any
@@ -76,12 +88,27 @@ class ServerBatch {
   /// std::invalid_argument when dt < 0.
   void prepare_dt(double dt);
 
-  /// Advance only lanes [lo, hi) by one substep of `dt` seconds.  Lanes
-  /// are fully independent, so disjoint ranges may step concurrently —
-  /// this is the chunk-parallel entry used by RackBatchStepper.  Requires
-  /// dt >= 0 and lo <= hi <= size() (std::invalid_argument) and
-  /// prepare_dt(dt) to have run (throws std::logic_error otherwise).
-  void step_range(std::size_t lo, std::size_t hi, double dt);
+  /// Advance only lanes [lo, hi) by one substep of `dt` seconds: plant,
+  /// accounting and sampling phase.  Returns true when some lane in the
+  /// range passed a sensor sampling instant; samples_due() says which, and
+  /// how many.  Lanes are fully independent, so disjoint ranges may step
+  /// concurrently — this is the chunk-parallel entry used by
+  /// RackBatchStepper.  Requires dt >= 0 and lo <= hi <= size()
+  /// (std::invalid_argument) and prepare_dt(dt) to have run (throws
+  /// std::logic_error otherwise).
+  bool step_range(std::size_t lo, std::size_t hi, double dt);
+
+  /// Sensor sampling instants lane `i` passed in its last step: the
+  /// driver owes that many Server::sample_sensor(junction_celsius(i))
+  /// calls (more than one only when dt exceeds the sample period).
+  unsigned samples_due(std::size_t i) const noexcept { return samples_due_[i]; }
+
+  /// Hand lane `i`'s plant state, sampling phase and accounting to
+  /// `server` (Server::adopt_batch_state) — the once-per-period write-back
+  /// that leaves the Server as if Server::step had advanced it.  `server`
+  /// must be the one lane `i` was gathered from; a lane must not be
+  /// written back once its server has stepped on its own.
+  void write_back(std::size_t i, Server& server) const;
 
   /// Memoisation telemetry over all step_all/step_range lanes processed
   /// since the last reset: a *hit* skipped the pow/exp entirely (fan speed
@@ -151,6 +178,23 @@ class ServerBatch {
   std::vector<double> fan_slew_;
   std::vector<double> fan_pmax_;
   std::vector<double> fan_smax_;
+  std::vector<double> limit_;          ///< thermal limit, degC
+  std::vector<double> sample_period_;  ///< sensor sampling period, s
+
+  // Accounting (SoA mirror of EnergyMeter, RunningStats and the Server's
+  // over-limit seconds; the count is kept as a double, exact below 2^53).
+  std::vector<double> cpu_joules_;
+  std::vector<double> fan_joules_;
+  std::vector<double> elapsed_;
+  std::vector<double> tj_count_;
+  std::vector<double> tj_mean_;
+  std::vector<double> tj_m2_;
+  std::vector<double> tj_sum_;
+  std::vector<double> tj_min_;
+  std::vector<double> tj_max_;
+  std::vector<double> over_limit_s_;
+  std::vector<double> phase_;           ///< seconds since the last sample
+  std::vector<unsigned> samples_due_;   ///< instants passed in the last step
 
   // Memoised transcendentals: valid while the lane's fan speed (and dt)
   // stay put.  memo_rpm_ = NaN marks "recompute".

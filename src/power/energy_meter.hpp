@@ -17,6 +17,13 @@ namespace fsc {
 /// accurate to well under the model error.
 class EnergyMeter {
  public:
+  EnergyMeter() = default;
+  /// A meter that has already accounted the given totals — for code that
+  /// integrates with accumulate()'s arithmetic outside the class and hands
+  /// the result back (the batched kernel, batch/server_batch.hpp).
+  EnergyMeter(double cpu_joules, double fan_joules, double elapsed_s) noexcept
+      : cpu_joules_(cpu_joules), fan_joules_(fan_joules), elapsed_(elapsed_s) {}
+
   /// Account `dt` seconds at the given CPU and fan power draw (watts).
   /// Throws std::invalid_argument when dt < 0.  Inline: this runs once per
   /// server per physics substep — the hottest non-plant call in the

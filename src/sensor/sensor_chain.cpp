@@ -24,7 +24,7 @@ void SensorChain::set_fault(SensorFaultMode mode, double value) {
   fault_value_ = value;
 }
 
-void SensorChain::take_sample(double true_value) {
+void SensorChain::sample(double true_value) {
   double v = true_value;
   switch (fault_mode_) {
     case SensorFaultMode::kNone:

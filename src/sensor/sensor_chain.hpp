@@ -63,9 +63,20 @@ class SensorChain {
     // too.
     while (phase_ >= params_.sample_period_s) {
       phase_ -= params_.sample_period_s;
-      take_sample(true_value);
+      sample(true_value);
     }
   }
+
+  /// One sampling instant: noise + push of `true_value` into the delay
+  /// line (the cold half of observe(), out of line).  Batched drivers that
+  /// keep the sampling phase themselves (batch/server_batch.hpp) call this
+  /// at each instant they detect, then hand the phase back via
+  /// set_phase().
+  void sample(double true_value);
+
+  /// Seconds since the last sampling instant, in [0, sample period).
+  double phase() const noexcept { return phase_; }
+  void set_phase(double phase_s) noexcept { phase_ = phase_s; }
 
   /// The reading the firmware currently sees (lagged + quantized).
   double read() const noexcept;
@@ -92,10 +103,6 @@ class SensorChain {
   SensorFaultMode fault() const noexcept { return fault_mode_; }
 
  private:
-  /// Noise + push of one sample into the delay line (the cold half of
-  /// observe(), out of line).
-  void take_sample(double true_value);
-
   SensorChainParams params_;
   AdcQuantizer adc_;
   Rng* rng_;

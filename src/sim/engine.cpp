@@ -16,7 +16,7 @@ SimulationEngine::SimulationEngine(const SimulationParams& params)
   // Session stores ceil(duration / period) as a long; a non-finite or
   // larger ratio would make that conversion undefined behaviour.
   const double periods = std::ceil(params_.duration_s / params_.cpu_period_s);
-  require(std::isfinite(periods) && periods <= 0x1p62,
+  require(std::isfinite(periods) && periods <= kMaxSimulationPeriods,
           "SimulationEngine: duration / cpu period must be at most 2^62 "
           "periods");
 }
@@ -32,7 +32,7 @@ SimulationEngine::Session::Session(const SimulationEngine& engine,
     : engine_(engine), server_(server), policy_(policy), workload_(workload) {
   const SimulationParams& params = engine_.params_;
   policy_.reset();
-  server_.reset_energy();
+  server_.reset_accounting(params.thermal_limit_celsius);
   server_.settle(params.initial_utilization, server_.fan_speed_commanded());
 
   physics_per_period_ = std::lround(params.cpu_period_s / params.physics_dt_s);
@@ -160,18 +160,6 @@ bool SimulationEngine::Session::begin_period(double raw_demand) {
   substeps_done_ = 0;
   in_period_ = true;
   return true;
-}
-
-void SimulationEngine::Session::note_substep() {
-  require(in_period_, "Session::note_substep: no period in progress");
-  const SimulationParams& params = engine_.params_;
-  PhysicsSample phys;
-  phys.time_s = static_cast<double>(period_) * params.cpu_period_s +
-                static_cast<double>(substeps_done_ + 1) * params.physics_dt_s;
-  phys.dt_s = params.physics_dt_s;
-  phys.server = &server_;
-  for (InstrumentationSink* sink : engine_.sinks_) sink->on_physics_step(phys);
-  ++substeps_done_;
 }
 
 void SimulationEngine::Session::finish_period() {

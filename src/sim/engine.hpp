@@ -4,20 +4,30 @@
 // recording on its own divider — decoupled from *what* is measured.
 //
 // Observation is delegated to pluggable InstrumentationSinks: the engine
-// publishes every policy decision, every physics substep, and every trace
-// record to all attached sinks.  The classic `run_simulation` entry point
-// (sim/simulation.hpp) is a thin wrapper that attaches the standard sinks
-// (trace recorder, deadline stats, thermal violation tracker, energy
-// accumulator) and assembles their outputs into a SimulationResult.
+// publishes every policy decision, every trace record, and the run's start
+// and end to all attached sinks.  Per-substep accounting (energy, junction
+// statistics, time above the thermal limit) is not published: the Server
+// keeps it, beside the plant it measures, so a batched driver can fold it
+// into the SoA kernel; sinks read it once, at on_run_end.  The classic
+// `run_simulation` entry point (sim/simulation.hpp) is a thin wrapper that
+// attaches the standard sinks (trace recorder, deadline stats, thermal
+// violation tracker, energy accumulator) and assembles their outputs into
+// a SimulationResult.
 #pragma once
 
 #include <vector>
 
 #include "core/controller.hpp"
 #include "sim/server.hpp"
+#include "util/units.hpp"
 #include "workload/trace.hpp"
 
 namespace fsc {
+
+/// Ceiling on a run's CPU control periods, ceil(duration / cpu period): a
+/// Session stores the count as a long, so anything larger (or non-finite)
+/// is refused up front instead of overflowing the conversion.
+inline constexpr double kMaxSimulationPeriods = 0x1p62;
 
 /// Simulation timing and instrumentation options.
 struct SimulationParams {
@@ -60,13 +70,6 @@ struct PeriodSample {
   const DtmPolicy* policy = nullptr;
 };
 
-/// What the engine publishes after each plant integration substep.
-struct PhysicsSample {
-  double time_s = 0.0;  ///< time at the *end* of the substep
-  double dt_s = 0.0;
-  const Server* server = nullptr;
-};
-
 /// Observer interface.  All hooks default to no-ops so sinks override only
 /// what they need.  Sinks must not mutate the plant or the policy; they see
 /// them const and only through the published samples.
@@ -86,10 +89,10 @@ class InstrumentationSink {
   /// when SimulationParams::record_trace is set).
   virtual void on_record(const TraceRecord& /*record*/) {}
 
-  /// One plant integration substep has completed.
-  virtual void on_physics_step(const PhysicsSample& /*sample*/) {}
-
-  /// The run finished after `duration_s` simulated seconds.
+  /// The run finished after `duration_s` simulated seconds.  The server's
+  /// energy meter and junction accounting (Server::energy(),
+  /// Server::junction_stats(), Server::over_limit_seconds()) cover exactly
+  /// this run: the Session reset them at its start.
   virtual void on_run_end(const Server& /*server*/, double /*duration_s*/) {}
 };
 
@@ -122,9 +125,10 @@ class SimulationEngine {
   /// which case the step sequence is bit-identical to the classic run().
   class Session {
    public:
-    /// Resets the policy and energy meter, settles the server at the
-    /// initial operating point, and publishes on_run_begin.  All referenced
-    /// objects must outlive the session.
+    /// Resets the policy and the server's accounting (energy, junction
+    /// statistics, time above params().thermal_limit_celsius), settles the
+    /// server at the initial operating point, and publishes on_run_begin.
+    /// All referenced objects must outlive the session.
     Session(const SimulationEngine& engine, Server& server, DtmPolicy& policy,
             const Workload& workload);
 
@@ -141,14 +145,18 @@ class SimulationEngine {
     ///   1. begin_period()  — policy decision, workload resolution, period
     ///      sample + trace record publication.  Returns false (and does
     ///      nothing) once done().
-    ///   2. for each of physics_per_period() substeps: advance the plant
-    ///      externally, mirror the results into the Server, then call
-    ///      note_substep() to publish the PhysicsSample to the sinks.
-    ///   3. finish_period() — workload bookkeeping, period counter.
+    ///   2. physics_per_period() substeps of the plant, advanced
+    ///      externally with Server::step's arithmetic — plant, sensor
+    ///      sampling, energy and junction accounting — and written back
+    ///      into the Server before phase 3 (Server::adopt_batch_state);
+    ///      note_substeps() counts them.
+    ///   3. finish_period() — checks the substep count, workload
+    ///      bookkeeping, period counter.
     ///
     /// The scalar step_period() goes through the same three phases with
     /// Server::step in the middle, so the two modes publish identical
-    /// event sequences.
+    /// event sequences and leave identical Servers at every period
+    /// boundary.
     bool begin_period();
     /// begin_period() with the period's raw demand supplied by the caller
     /// instead of the session's own `workload_.demand(t)` virtual call —
@@ -160,7 +168,13 @@ class SimulationEngine {
     /// capping, publication — is shared with the classic overload, so the
     /// two are bit-identical by definition.
     bool begin_period(double raw_demand);
-    void note_substep();
+    /// Count `count` physics substeps of the open period as done (the
+    /// check behind finish_period()); note_substep() counts one.
+    void note_substeps(long count) {
+      require(in_period_, "Session::note_substep: no period in progress");
+      substeps_done_ += count;
+    }
+    void note_substep() { note_substeps(1); }
     void finish_period();
     /// The utilization executing during the period opened by
     /// begin_period() (what the external plant stepper feeds the CPU
@@ -239,7 +253,7 @@ class SimulationEngine {
     long record_every_ = 1;
     long period_ = 0;
     bool in_period_ = false;     ///< between begin_period and finish_period
-    long substeps_done_ = 0;     ///< substeps published this period
+    long substeps_done_ = 0;     ///< substeps counted this period
     double pending_demand_ = 0.0;    ///< this period's resolved demand
     double pending_executed_ = 0.0;  ///< this period's executed utilization
     double cap_ = 1.0;

@@ -51,19 +51,16 @@ class DeadlineStatsSink final : public InstrumentationSink {
   RunningStats fan_speed_stats_;
 };
 
-/// Tracks the true junction temperature over physics substeps: running
-/// stats plus the time spent above the configured thermal limit.
+/// Captures the true junction temperature statistics over the run's
+/// physics substeps, plus the time spent above the configured thermal
+/// limit.  The Server accumulates both (Server::step, or the batched
+/// kernel's write-back); this sink copies them at the end of the run, like
+/// EnergyAccumulatorSink does the energy.
 class ThermalViolationSink final : public InstrumentationSink {
  public:
-  void on_run_begin(const SimulationParams& params, const Server&) override {
-    limit_celsius_ = params.thermal_limit_celsius;
-    junction_stats_.reset();
-    violation_time_s_ = 0.0;
-  }
-  void on_physics_step(const PhysicsSample& s) override {
-    const double tj = s.server->true_junction();
-    junction_stats_.add(tj);
-    if (tj > limit_celsius_) violation_time_s_ += s.dt_s;
+  void on_run_end(const Server& server, double /*duration_s*/) override {
+    junction_stats_ = server.junction_stats();
+    violation_time_s_ = server.over_limit_seconds();
   }
 
   const RunningStats& junction_stats() const noexcept { return junction_stats_; }
@@ -76,7 +73,6 @@ class ThermalViolationSink final : public InstrumentationSink {
   }
 
  private:
-  double limit_celsius_ = 80.0;
   RunningStats junction_stats_;
   double violation_time_s_ = 0.0;
 };

@@ -1,8 +1,11 @@
 #include "sim/scenario.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "core/policy_factory.hpp"
 #include "util/json.hpp"
@@ -16,12 +19,34 @@ namespace fsc {
 void ScenarioSpec::validate() const {
   require(racks > 0, "ScenarioSpec: need at least one rack");
   require(slots > 0, "ScenarioSpec: need at least one slot per rack");
-  require(duration_s > 0.0, "ScenarioSpec: duration must be > 0");
+  const std::pair<const char*, double> reals[] = {
+      {"duration_s", duration_s},
+      {"rack_budget_watts", rack_budget_watts},
+      {"room_budget_watts", room_budget_watts},
+      {"migration_step", migration_step},
+      {"plant_capacity_watts", plant_capacity_watts},
+      {"supply_amplitude_c", supply_amplitude_c},
+      {"supply_period_s", supply_period_s},
+      {"facility_period_s", facility_period_s},
+  };
+  for (const auto& [name, value] : reals) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("ScenarioSpec: ") + name +
+                                  " must be finite");
+    }
+  }
+  require(duration_s > 0.0, "ScenarioSpec: duration_s must be > 0");
+  // The scenarios run at the engine's default control period; refuse here
+  // what SimulationEngine would otherwise refuse mid-build.
+  require(std::ceil(duration_s / SimulationParams{}.cpu_period_s) <=
+              kMaxSimulationPeriods,
+          "ScenarioSpec: duration_s exceeds the engine's ceiling of 2^62 "
+          "control periods");
   require(migration_step <= 0.0 || migration_step < 1.0,
           "ScenarioSpec: migration step must be in (0, 1) when set");
   require(supply_amplitude_c >= 0.0,
           "ScenarioSpec: supply amplitude must be >= 0");
-  require(supply_period_s > 0.0, "ScenarioSpec: supply period must be > 0");
+  require(supply_period_s > 0.0, "ScenarioSpec: supply_period_s must be > 0");
   require(trace_dir.empty() || trace_pack.empty(),
           "ScenarioSpec: trace_dir and trace_pack are mutually exclusive");
 

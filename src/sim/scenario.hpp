@@ -80,10 +80,12 @@ struct ScenarioSpec {
 
   bool operator==(const ScenarioSpec&) const = default;
 
-  /// Cross-field validation: positive fleet shape and duration, policy
-  /// names known to the PolicyFactory (empty = default accepted), fault
-  /// plan addressing real victims, migration step in (0, 1) when set.
-  /// Throws std::invalid_argument naming the offending field.  build_*()
+  /// Cross-field validation: finite real-valued fields, positive fleet
+  /// shape and duration, a duration within the engine's control-period
+  /// ceiling (kMaxSimulationPeriods), policy names known to the
+  /// PolicyFactory (empty = default accepted), fault plan addressing real
+  /// victims, migration step in (0, 1) when set.  Throws
+  /// std::invalid_argument naming the offending field.  build_*()
   /// validate implicitly.
   void validate() const;
 

@@ -23,8 +23,11 @@ void Server::step(double u_executed, double dt) {
   const double rpm = actuator_.speed();
   const double p_fan = params_.fan_power.power(rpm);
   params_.thermal.step(p_cpu, rpm, dt);
-  sensor_.observe(params_.thermal.junction(), dt);
+  const double tj = params_.thermal.junction();
+  sensor_.observe(tj, dt);
   energy_.accumulate(p_cpu, p_fan, dt);
+  junction_stats_.add(tj);
+  if (tj > thermal_limit_celsius_) over_limit_s_ += dt;
 }
 
 void Server::settle(double u_executed, double fan_rpm) {

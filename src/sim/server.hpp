@@ -14,6 +14,7 @@
 #include "sensor/sensor_chain.hpp"
 #include "thermal/server_thermal_model.hpp"
 #include "util/rng.hpp"
+#include "util/statistics.hpp"
 
 namespace fsc {
 
@@ -41,8 +42,8 @@ class Server {
   void command_fan(double rpm) noexcept { actuator_.command(rpm); }
 
   /// Advance physics by `dt` seconds with the CPU executing utilization
-  /// `u_executed`.  Updates thermal state, fan dynamics, sensing, and
-  /// energy accounting.
+  /// `u_executed`.  Updates thermal state, fan dynamics, sensing, energy
+  /// accounting and the junction-temperature accounting.
   void step(double u_executed, double dt);
 
   /// Settle the whole plant (thermal + sensor pipeline) at an operating
@@ -50,19 +51,32 @@ class Server {
   void settle(double u_executed, double fan_rpm);
 
   /// Batched-stepping write-back: the SoA kernel (batch/server_batch.hpp)
-  /// has already advanced this server's actuator + thermal plant by `dt`
-  /// seconds with the same expressions step() would have used; mirror the
-  /// results and advance the parts that stay per-server — the sensor chain
-  /// observes the new junction and the energy meter accounts the substep —
-  /// in exactly step()'s order.  After this call the Server is
-  /// indistinguishable from one advanced by step().
-  void adopt_plant_step(double fan_rpm, double heat_sink_celsius,
-                        double junction_celsius, double cpu_watts,
-                        double fan_watts, double dt) {
+  /// has advanced this server's actuator, thermal plant, sensor sampling
+  /// phase, energy meter and junction accounting through whole substeps
+  /// with exactly step()'s arithmetic (calling sample_sensor() at each
+  /// sampling instant it passed); adopt the results.  After this call the
+  /// Server is indistinguishable from one advanced by step().
+  void adopt_batch_state(double fan_rpm, double heat_sink_celsius,
+                         double junction_celsius, double sensor_phase_s,
+                         const EnergyMeter& energy,
+                         const RunningStats& junction_stats,
+                         double over_limit_s) noexcept {
     actuator_.adopt_speed(fan_rpm);
     params_.thermal.set_state(heat_sink_celsius, junction_celsius);
-    sensor_.observe(junction_celsius, dt);
-    energy_.accumulate(cpu_watts, fan_watts, dt);
+    sensor_.set_phase(sensor_phase_s);
+    energy_ = energy;
+    junction_stats_ = junction_stats;
+    over_limit_s_ = over_limit_s;
+  }
+
+  /// One sensor sampling instant at junction temperature
+  /// `junction_celsius` — what step() does inside the sensor chain each
+  /// time the sampling phase wraps.  Only for batched drivers, which keep
+  /// the phase in the kernel (see adopt_batch_state()).
+  void sample_sensor(double junction_celsius) { sensor_.sample(junction_celsius); }
+  double sensor_phase() const noexcept { return sensor_.phase(); }
+  double sensor_sample_period() const noexcept {
+    return sensor_.params().sample_period_s;
   }
 
   /// The measurement the firmware sees (lagged + quantized).
@@ -101,7 +115,21 @@ class Server {
 
   /// Cumulative energy accounting since construction / last reset.
   const EnergyMeter& energy() const noexcept { return energy_; }
-  void reset_energy() noexcept { energy_.reset(); }
+
+  /// True junction temperature over every step() since the last reset, and
+  /// the seconds of those steps that ended above the thermal limit.
+  const RunningStats& junction_stats() const noexcept { return junction_stats_; }
+  double over_limit_seconds() const noexcept { return over_limit_s_; }
+  double thermal_limit_celsius() const noexcept { return thermal_limit_celsius_; }
+
+  /// Zero the energy meter and the junction accounting, and count time
+  /// above `thermal_limit_celsius` from now on (a run's start).
+  void reset_accounting(double thermal_limit_celsius) noexcept {
+    energy_.reset();
+    junction_stats_.reset();
+    over_limit_s_ = 0.0;
+    thermal_limit_celsius_ = thermal_limit_celsius;
+  }
 
   /// Fault forwarding (fault/fault_injector.hpp arms these at coordination
   /// barriers).  Faulted components change only their own behavior — the
@@ -125,6 +153,9 @@ class Server {
   FanActuator actuator_;
   SensorChain sensor_;
   EnergyMeter energy_;
+  RunningStats junction_stats_;
+  double over_limit_s_ = 0.0;
+  double thermal_limit_celsius_ = 80.0;
 };
 
 }  // namespace fsc

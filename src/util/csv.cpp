@@ -98,6 +98,7 @@ CsvTable parse_csv(const std::string& text) {
       }
     }
     table.rows.push_back(std::move(row));
+    table.line_numbers.push_back(line_no);
   }
   return table;
 }

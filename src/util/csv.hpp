@@ -43,6 +43,9 @@ class CsvWriter {
 struct CsvTable {
   std::vector<std::string> columns;
   std::vector<std::vector<double>> rows;
+  /// 1-based source line of each row (blank lines are skipped, so rows
+  /// and lines need not line up), for error messages that name the line.
+  std::vector<std::size_t> line_numbers;
 
   /// Index of a named column; throws std::out_of_range when absent.
   std::size_t column_index(const std::string& name) const;

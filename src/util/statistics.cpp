@@ -6,16 +6,6 @@
 
 namespace fsc {
 
-void RunningStats::add(double x) noexcept {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void RunningStats::reset() noexcept { *this = RunningStats{}; }

@@ -6,6 +6,7 @@
 // detector are built on it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -17,8 +18,35 @@ namespace fsc {
 /// min and max.  O(1) memory.
 class RunningStats {
  public:
-  /// Fold one sample into the accumulator.
-  void add(double x) noexcept;
+  /// Fold one sample into the accumulator.  Inline: every server folds
+  /// its junction temperature in here once per physics substep.  The
+  /// batched kernel (batch/server_batch.cpp) repeats these exact
+  /// operations on its SoA copy of the state.
+  void add(double x) noexcept {
+    ++n_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
+
+  /// An accumulator holding exactly the given state (the values the
+  /// accessors below report, with `m2` the sum of squared deviations) —
+  /// for code that folds samples outside the class with add()'s arithmetic
+  /// and hands the result back.
+  static RunningStats from_state(std::size_t n, double mean, double m2,
+                                 double sum, double min, double max) noexcept {
+    RunningStats s;
+    s.n_ = n;
+    s.mean_ = mean;
+    s.m2_ = m2;
+    s.sum_ = sum;
+    s.min_ = min;
+    s.max_ = max;
+    return s;
+  }
 
   /// Number of samples folded so far.
   std::size_t count() const noexcept { return n_; }
@@ -28,6 +56,9 @@ class RunningStats {
 
   /// Population variance (divides by N); 0 when fewer than 1 sample.
   double variance() const noexcept { return n_ ? m2_ / static_cast<double>(n_) : 0.0; }
+
+  /// Sum of squared deviations from the mean (Welford's M2).
+  double m2() const noexcept { return m2_; }
 
   /// Sample variance (divides by N-1); 0 when fewer than 2 samples.
   double sample_variance() const noexcept {

@@ -53,9 +53,16 @@ inline bool approx_equal(double a, double b, double tol = 1e-9) {
 }
 
 /// Throw std::invalid_argument with `what` when `ok` is false.  Used to
-/// validate constructor parameters of model classes.
+/// validate constructor parameters of model classes — and per call on hot
+/// paths (kernel entry, per-period input gather), which is why a literal
+/// message binds to the `const char*` overload: it builds no std::string
+/// (a heap allocation for any message past the small-string buffer) unless
+/// the check fails.
+inline void require(bool ok, const char* what) {
+  if (!ok) [[unlikely]] throw std::invalid_argument(what);
+}
 inline void require(bool ok, const std::string& what) {
-  if (!ok) throw std::invalid_argument(what);
+  if (!ok) [[unlikely]] throw std::invalid_argument(what);
 }
 
 }  // namespace fsc

@@ -58,10 +58,19 @@ std::unique_ptr<SampledWorkload> workload_from_csv(const std::string& csv_text,
       }
     }
   }
-  std::vector<double> samples;
-  samples.reserve(utils.size());
-  for (double u : utils) samples.push_back(clamp_utilization(u));
-  return std::make_unique<SampledWorkload>(std::move(samples), period);
+  // A utilization outside [0, 1] is a broken trace, not a value to clamp:
+  // name the line instead of silently running something else.
+  for (std::size_t i = 0; i < utils.size(); ++i) {
+    const double u = utils[i];
+    if (!std::isfinite(u) || u < 0.0 || u > 1.0) {
+      std::ostringstream msg;
+      msg << "workload_from_csv: line " << table.line_numbers[i]
+          << ": utilization " << u
+          << (std::isfinite(u) ? " is outside [0, 1]" : " is not finite");
+      throw std::runtime_error(msg.str());
+    }
+  }
+  return std::make_unique<SampledWorkload>(std::move(utils), period);
 }
 
 void save_workload(const Workload& w, double duration_s, double sample_period_s,

@@ -22,10 +22,12 @@ std::string workload_to_csv(const Workload& w, double duration_s,
 /// The sample period is inferred from the first two rows; a single-row
 /// trace has no spacing to infer from, so it gets `single_row_period_s`
 /// (which the caller should set to the trace's actual cadence).
-/// Throws std::runtime_error on missing columns or non-uniform spacing
+/// Throws std::runtime_error on missing columns, non-uniform spacing
 /// (tolerance 1e-6 relative to the inferred period, so long traces whose
-/// large timestamps carry float error still load), std::invalid_argument
-/// when single_row_period_s <= 0.
+/// large timestamps carry float error still load), or a utilization that
+/// is not finite or lies outside [0, 1] (the message names its 1-based
+/// line; values are never clamped); std::invalid_argument when
+/// single_row_period_s <= 0.
 std::unique_ptr<SampledWorkload> workload_from_csv(
     const std::string& csv_text, double single_row_period_s = 1.0);
 

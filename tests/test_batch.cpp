@@ -9,6 +9,11 @@
 //     against the scalar (one-task-per-server) path, across 1/2/8 threads;
 //   * a full scheduled room likewise.
 //
+// The fused accounting (energy, junction statistics, time over the thermal
+// limit, sensor sampling phase) is held to the same standard: the N = 1
+// oracle compares the whole Server at every period boundary, for substeps
+// that divide the sample period, do not, and exceed it.
+//
 // Every comparison below uses exact double equality (EXPECT_EQ), because
 // the design guarantee is "same FP operations in the same per-slot order",
 // not "small error".
@@ -55,44 +60,109 @@ TEST(PlantKernel, SlewLandsExactlyOnCommandWithinReach) {
 
 // -------------------------------------------------- N = 1 vs Server::step
 
-TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
+/// A junction limit the load square wave below crosses both ways, so the
+/// over-limit seconds are a live quantity, not a constant zero.
+constexpr double kOracleLimit = 74.5;
+
+/// Drive one Server by Server::step and a twin through an N = 1 batch the
+/// way RackBatchStepper does: step_all per substep, the sensor samples it
+/// reports, one write_back per period.  The plant is compared at every
+/// substep (from the batch arrays), the whole Server at every period
+/// boundary.  Returns the number of sensor samples the batch reported.
+long expect_batch_matches_server_step(double dt, long substeps,
+                                      const SensorChainParams& sensor,
+                                      long periods) {
+  ServerParams params;
+  params.sensor = sensor;
   Rng rng_a(7);
   Rng rng_b(7);
-  Server scalar = Server::table1_defaults(rng_a);
-  Server batched = Server::table1_defaults(rng_b);
+  Server scalar(params, 2000.0, rng_a);
+  Server batched(params, 2000.0, rng_b);
+  scalar.reset_accounting(kOracleLimit);
+  batched.reset_accounting(kOracleLimit);
 
   ServerBatch batch;
-  ASSERT_EQ(batch.add_server(batched), 0u);
-  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.add_server(batched), 0u);
+  EXPECT_EQ(batch.size(), 1u);
 
-  for (long period = 0; period < 120; ++period) {
+  long samples = 0;
+  for (long period = 0; period < periods; ++period) {
     // Exercise all regimes: load square wave, fan commands that slew for
     // several substeps, an inlet retarget mid-run (plenum coupling).
     const double u = (period / 7) % 2 == 0 ? 0.25 : 0.85;
     const double cmd = (period % 40) < 20 ? 2500.0 : 7000.0;
     scalar.command_fan(cmd);
     batched.command_fan(cmd);
-    if (period == 60) {
+    if (period == periods / 2) {
       scalar.set_inlet_temperature(45.5);
       batched.set_inlet_temperature(45.5);
     }
     batch.set_inputs(0, batched.cpu_power_now(u), batched.fan_speed_commanded(),
                      batched.inlet_temperature());
-    for (long s = 0; s < kSubstepsPerPeriod; ++s) {
-      scalar.step(u, kDt);
-      batch.step_all(kDt);
-      batched.adopt_plant_step(batch.fan_rpm(0), batch.heat_sink_celsius(0),
-                               batch.junction_celsius(0), batch.cpu_watts(0),
-                               batch.fan_watts(0), kDt);
-      ASSERT_EQ(scalar.true_junction(), batched.true_junction())
+    for (long s = 0; s < substeps; ++s) {
+      scalar.step(u, dt);
+      if (batch.step_all(dt)) {
+        for (unsigned k = batch.samples_due(0); k > 0; --k) {
+          batched.sample_sensor(batch.junction_celsius(0));
+          ++samples;
+        }
+      }
+      EXPECT_EQ(scalar.true_junction(), batch.junction_celsius(0))
           << "period " << period << " substep " << s;
-      ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
-      ASSERT_EQ(scalar.fan_speed_actual(), batched.fan_speed_actual());
-      ASSERT_EQ(scalar.measured_temp(), batched.measured_temp());
+      EXPECT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
+      EXPECT_EQ(scalar.fan_speed_actual(), batch.fan_rpm(0));
     }
+    batch.write_back(0, batched);
+    SCOPED_TRACE(testing::Message() << "period " << period);
+    EXPECT_EQ(scalar.true_junction(), batched.true_junction());
+    EXPECT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
+    EXPECT_EQ(scalar.fan_speed_actual(), batched.fan_speed_actual());
+    EXPECT_EQ(scalar.sensor_phase(), batched.sensor_phase());
+    EXPECT_EQ(scalar.measured_temp(), batched.measured_temp());
+    EXPECT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
+    EXPECT_EQ(scalar.energy().fan_energy(), batched.energy().fan_energy());
+    EXPECT_EQ(scalar.energy().elapsed(), batched.energy().elapsed());
+    EXPECT_EQ(scalar.junction_stats().count(), batched.junction_stats().count());
+    EXPECT_EQ(scalar.junction_stats().mean(), batched.junction_stats().mean());
+    EXPECT_EQ(scalar.junction_stats().max(), batched.junction_stats().max());
+    EXPECT_EQ(scalar.junction_stats().min(), batched.junction_stats().min());
+    EXPECT_EQ(scalar.junction_stats().m2(), batched.junction_stats().m2());
+    EXPECT_EQ(scalar.over_limit_seconds(), batched.over_limit_seconds());
+    if (testing::Test::HasFailure()) return samples;
   }
-  EXPECT_EQ(scalar.energy().fan_energy(), batched.energy().fan_energy());
-  EXPECT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
+  // The scenario must actually exercise the over-limit accounting.
+  EXPECT_GT(scalar.over_limit_seconds(), 0.0);
+  EXPECT_LT(scalar.over_limit_seconds(), scalar.energy().elapsed());
+  return samples;
+}
+
+TEST(ServerBatch, N1BitIdenticalToScalarServerStep) {
+  // The engines' timing: 20 substeps of 0.05 s per 1 s period, one sensor
+  // sample per period.
+  const long samples = expect_batch_matches_server_step(
+      kDt, kSubstepsPerPeriod, SensorChainParams{}, 120);
+  EXPECT_GT(samples, 100);
+}
+
+TEST(ServerBatch, N1BitIdenticalWhenDtDoesNotDivideTheSamplePeriod) {
+  // 0.03 s substeps against a 1 s sample period: the phase wraps between
+  // substeps, at a different substep offset each time.
+  const long samples =
+      expect_batch_matches_server_step(0.03, 20, SensorChainParams{}, 120);
+  EXPECT_GT(samples, 60);
+}
+
+TEST(ServerBatch, N1BitIdenticalWhenDtExceedsTheSamplePeriod) {
+  // 0.05 s substeps against a 0.02 s sample period: every substep catches
+  // up two or three samples.  Sensor noise makes each sample draw from the
+  // server's RNG, so a missed or extra sample would show in the reading.
+  SensorChainParams sensor;
+  sensor.sample_period_s = 0.02;
+  sensor.noise_stddev = 0.4;
+  const long periods = 60;
+  const long samples =
+      expect_batch_matches_server_step(kDt, kSubstepsPerPeriod, sensor, periods);
+  EXPECT_GE(samples, 2 * periods * kSubstepsPerPeriod);
 }
 
 TEST(ServerBatch, N1BitIdenticalToThermalModelStep) {
@@ -138,13 +208,19 @@ TEST(ServerBatch, DtChangeRefreshesTheMemoisedDecays) {
   for (double dt : {0.05, 0.05, 0.1, 0.05, 0.025}) {
     for (int s = 0; s < 10; ++s) {
       scalar.step(0.6, dt);
-      batch.step_all(dt);
-      batched.adopt_plant_step(batch.fan_rpm(0), batch.heat_sink_celsius(0),
-                               batch.junction_celsius(0), batch.cpu_watts(0),
-                               batch.fan_watts(0), dt);
-      ASSERT_EQ(scalar.true_junction(), batched.true_junction()) << "dt " << dt;
-      ASSERT_EQ(scalar.true_heat_sink(), batched.true_heat_sink());
+      if (batch.step_all(dt)) {
+        for (unsigned k = batch.samples_due(0); k > 0; --k) {
+          batched.sample_sensor(batch.junction_celsius(0));
+        }
+      }
+      ASSERT_EQ(scalar.true_junction(), batch.junction_celsius(0)) << "dt " << dt;
+      ASSERT_EQ(scalar.true_heat_sink(), batch.heat_sink_celsius(0));
     }
+    batch.write_back(0, batched);
+    EXPECT_EQ(scalar.measured_temp(), batched.measured_temp()) << "dt " << dt;
+    EXPECT_EQ(scalar.sensor_phase(), batched.sensor_phase()) << "dt " << dt;
+    EXPECT_EQ(scalar.energy().cpu_energy(), batched.energy().cpu_energy());
+    EXPECT_EQ(scalar.junction_stats().mean(), batched.junction_stats().mean());
   }
 }
 
@@ -272,6 +348,10 @@ void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
               b.slots[i].result.cpu_energy_joules) << i;
     EXPECT_EQ(a.slots[i].result.max_junction_celsius,
               b.slots[i].result.max_junction_celsius) << i;
+    EXPECT_EQ(a.slots[i].result.mean_junction_celsius,
+              b.slots[i].result.mean_junction_celsius) << i;
+    EXPECT_EQ(a.slots[i].result.thermal_violation_percent,
+              b.slots[i].result.thermal_violation_percent) << i;
     EXPECT_EQ(a.slots[i].inlet_stats.mean(), b.slots[i].inlet_stats.mean()) << i;
     EXPECT_EQ(a.slots[i].inlet_stats.max(), b.slots[i].inlet_stats.max()) << i;
     EXPECT_EQ(a.slots[i].mean_cap_limit, b.slots[i].mean_cap_limit) << i;
@@ -292,6 +372,8 @@ TEST(BatchedRack, BitIdenticalToScalarPathAcross128Threads) {
     scalar_params.batched = false;
     const CoupledRackResult scalar =
         CoupledRackEngine(scalar_params, 1).run();
+    // Junction time over the limit is live, so its EXPECT_EQ bites.
+    ASSERT_GT(scalar.thermal_violation_percent, 0.0);
 
     for (std::size_t threads : {1u, 2u, 8u}) {
       CoupledRackParams batched_params = rack_params(coordinator);
@@ -377,6 +459,7 @@ TEST(BatchedRoom, BitIdenticalToScalarPathAcross128Threads) {
   scalar_params.scheduler = "thermal-headroom";
   for (CoupledRackParams& rack : scalar_params.racks) rack.batched = false;
   const RoomResult scalar = RoomEngine(scalar_params, 1).run();
+  ASSERT_GT(scalar.thermal_violation_percent, 0.0);
 
   for (std::size_t threads : {1u, 2u, 8u}) {
     RoomParams batched_params = default_room_scenario(2, 77, 240.0);
@@ -408,7 +491,8 @@ TEST(ChunkedRoom, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
   const RoomResult pr4 = RoomEngine(pr4_params, 2).run();
   expect_identical(scalar, pr4);
 
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{0}}) {
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
+                            std::size_t{0} /* auto */}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       RoomParams p = default_room_scenario(2, 77, 240.0);
       p.scheduler = "thermal-headroom";

@@ -31,7 +31,7 @@ SimulationResult reference_run_simulation(Server& server, DtmPolicy& policy,
 
   SimulationResult result;
   policy.reset();
-  server.reset_energy();
+  server.reset_accounting(params.thermal_limit_celsius);
   server.settle(params.initial_utilization, server.fan_speed_commanded());
 
   const long physics_per_period =

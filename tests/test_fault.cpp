@@ -49,6 +49,10 @@ void expect_identical(const CoupledRackResult& a, const CoupledRackResult& b) {
     EXPECT_EQ(a.slots[i].deadline_violations, b.slots[i].deadline_violations);
     EXPECT_EQ(a.slots[i].result.max_junction_celsius,
               b.slots[i].result.max_junction_celsius);
+    EXPECT_EQ(a.slots[i].result.mean_junction_celsius,
+              b.slots[i].result.mean_junction_celsius);
+    EXPECT_EQ(a.slots[i].result.thermal_violation_percent,
+              b.slots[i].result.thermal_violation_percent);
     EXPECT_EQ(a.slots[i].inlet_stats.mean(), b.slots[i].inlet_stats.mean());
     EXPECT_EQ(a.slots[i].mean_cap_limit, b.slots[i].mean_cap_limit);
   }
@@ -218,6 +222,34 @@ TEST(FaultInjection, BatchedAndScalarAgreeUnderFaults) {
   scalar.batched = false;
   expect_identical(CoupledRackEngine(p, 2).run(),
                    CoupledRackEngine(scalar, 2).run());
+}
+
+TEST(FaultInjection, LaneForcedScalarMidRunMatchesTheScalarRun) {
+  // A noisy-sensor fault at 90 s moves slot 3 off the batch after three
+  // coordination rounds of batched periods.  The scalar path resumes from
+  // its Server, which the batch's per-period write-back left current
+  // (plant, sampling phase, energy, junction statistics, over-limit time),
+  // and the batch never writes that lane back again.  Every slot — the
+  // forced one included — must match the all-scalar run at every chunk
+  // size and thread count.
+  CoupledRackParams p = small_params(6, 240.0);
+  p.coordinator = "shared-fan-zone";
+  p.rack.sim.thermal_limit_celsius = 76.0;
+  p.faults.events.push_back({FaultKind::kSensorNoisy, 0, 3, 90.0, -1.0, 0.5});
+  CoupledRackParams scalar_params = p;
+  scalar_params.batched = false;
+  const CoupledRackResult scalar = CoupledRackEngine(scalar_params, 1).run();
+  // The lowered limit keeps the over-limit time live on the forced slot.
+  ASSERT_GT(scalar.slots[3].result.thermal_violation_percent, 0.0);
+  for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{0}}) {
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      CoupledRackParams q = p;
+      q.chunk = chunk;
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " chunk=" << chunk);
+      expect_identical(scalar, CoupledRackEngine(q, threads).run());
+    }
+  }
 }
 
 // ------------------------------------------------- barrier-level effects

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -39,6 +40,50 @@ TEST(ScenarioSpec, ValidateRejectsBadShapes) {
   spec = {};
   spec.migration_step = 1.5;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+/// validate()'s message for `spec`, or "" when it passes.
+std::string validation_error(const ScenarioSpec& spec) {
+  try {
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioSpec, ValidateRejectsNonFiniteAndHugeDurations) {
+  // Each is refused by validate() itself, naming the field — not later,
+  // inside SimulationEngine, halfway through a build.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, 1e308, nan}) {
+    ScenarioSpec spec;
+    spec.duration_s = bad;
+    SCOPED_TRACE(bad);
+    EXPECT_NE(validation_error(spec).find("duration_s"), std::string::npos)
+        << validation_error(spec);
+  }
+  for (const double bad : {inf, nan}) {
+    ScenarioSpec spec;
+    spec.supply_period_s = bad;
+    EXPECT_NE(validation_error(spec).find("supply_period_s"), std::string::npos);
+    spec = {};
+    spec.rack_budget_watts = bad;
+    EXPECT_NE(validation_error(spec).find("rack_budget_watts"),
+              std::string::npos);
+  }
+  // 1e308 is a finite supply-profile cycle, just a very slow one.
+  ScenarioSpec spec;
+  spec.supply_period_s = 1e308;
+  EXPECT_EQ(validation_error(spec), "");
+  // The period ceiling itself: 2^62 one-second periods is the last valid
+  // duration.
+  spec = {};
+  spec.duration_s = 0x1p62;
+  EXPECT_EQ(validation_error(spec), "");
+  spec.duration_s = 0x1p63;
+  EXPECT_NE(validation_error(spec).find("duration_s"), std::string::npos);
 }
 
 TEST(ScenarioSpec, ValidateRejectsUnknownPolicyNames) {

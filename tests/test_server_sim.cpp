@@ -58,8 +58,27 @@ TEST(Server, EnergyAccumulates) {
   for (int i = 0; i < 20; ++i) s.step(0.5, 0.05);  // 1 s at u = 0.5
   EXPECT_NEAR(s.energy().cpu_energy(), 128.0, 0.5);  // 128 W * 1 s
   EXPECT_GT(s.energy().fan_energy(), 0.0);
-  s.reset_energy();
+  s.reset_accounting(80.0);
   EXPECT_DOUBLE_EQ(s.energy().total_energy(), 0.0);
+}
+
+TEST(Server, JunctionAccountingFollowsStep) {
+  Rng rng(1);
+  Server s = Server::table1_defaults(rng);
+  s.reset_accounting(50.0);
+  double over = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    s.step(1.0, 0.05);
+    if (s.true_junction() > 50.0) over += 0.05;
+  }
+  EXPECT_EQ(s.junction_stats().count(), 200u);
+  EXPECT_EQ(s.junction_stats().max(), s.true_junction());  // heating up
+  EXPECT_EQ(s.over_limit_seconds(), over);
+  EXPECT_GT(over, 0.0);
+  s.reset_accounting(80.0);
+  EXPECT_EQ(s.junction_stats().count(), 0u);
+  EXPECT_EQ(s.over_limit_seconds(), 0.0);
+  EXPECT_EQ(s.thermal_limit_celsius(), 80.0);
 }
 
 TEST(Server, SettlePreloadsSensor) {

@@ -346,10 +346,25 @@ TEST(TraceIo, LoadTraceDirSortsByFilenameAndRejectsEmpty) {
   EXPECT_THROW(load_trace_dir(dir + "/nonexistent"), std::runtime_error);
 }
 
-TEST(TraceIo, ClampsUtilizationOnLoad) {
-  const auto w = workload_from_csv("time,utilization\n0,1.5\n1,-0.5\n");
-  EXPECT_DOUBLE_EQ(w->demand(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(w->demand(1.0), 0.0);
+TEST(TraceIo, RejectsOutOfRangeUtilizationNamingTheLine) {
+  // Out-of-range and non-finite values are refused, never clamped; the
+  // error names the value's 1-based line (the blank line still counts).
+  for (const char* bad : {"7", "-3", "inf", "nan"}) {
+    const std::string csv =
+        std::string("time,utilization\n0,0.5\n\n1,") + bad + "\n2,0.25\n";
+    SCOPED_TRACE(bad);
+    try {
+      workload_from_csv(csv);
+      ADD_FAILURE() << "loaded utilization " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The bounds themselves are valid samples.
+  const auto w = workload_from_csv("time,utilization\n0,0\n1,1\n");
+  EXPECT_EQ(w->demand(0.0), 0.0);
+  EXPECT_EQ(w->demand(1.0), 1.0);
 }
 
 TEST(TraceIo, ToleranceIsRelativeToPeriod) {
