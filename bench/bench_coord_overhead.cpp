@@ -2,10 +2,9 @@
 //
 // Two questions, one harness:
 //
-//   * overhead — what do the lockstep barriers cost?  BM_UncoupledBatch
-//     (BatchRunner, no barriers) vs BM_CoupledRack/independent (barriers,
-//     no-op coordinator) is the pure synchronisation tax; the other
-//     coordinators add their arbitration on top.
+//   * overhead — what does coordination cost?  BM_CoupledRack/independent
+//     (lockstep barriers, no-op coordinator) is the baseline; the other
+//     coordinators add their arbitration on top of it.
 //   * benefit — each timed run also reports rack totals as counters
 //     (total_kj, ddl_viol_pct, thr_viol_pct), and after the timing loop
 //     main() re-runs the scenario once per coordinator and prints a
@@ -28,8 +27,6 @@
 #include "verdict.hpp"
 
 #include "coord/coupled_rack_engine.hpp"
-#include "rack/batch_runner.hpp"
-#include "rack/rack.hpp"
 
 namespace {
 
@@ -53,19 +50,6 @@ void report_counters(benchmark::State& state, const CoupledRackResult& r) {
   state.counters["ddl_viol_pct"] = r.deadline_violation_percent;
   state.counters["thr_viol_pct"] = r.thermal_violation_percent;
 }
-
-/// The no-barrier reference: the same rack specs run embarrassingly
-/// parallel (no plenum, no coordinator, no lockstep).
-void BM_UncoupledBatch(benchmark::State& state) {
-  const Rack rack(scenario("independent").rack);
-  const BatchRunner runner(bench_threads());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.run(rack));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rack.size()));
-}
-BENCHMARK(BM_UncoupledBatch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_CoupledRack(benchmark::State& state, const std::string& coordinator) {
   const CoupledRackEngine engine(scenario(coordinator), bench_threads());

@@ -6,11 +6,13 @@
 // hand-assembly of engine params does not belong in examples/.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/policy_factory.hpp"
@@ -44,6 +46,23 @@ inline bool parse_nonnegative(const char* text, std::size_t& out) {
   return true;
 }
 
+/// Parse a power budget flag value ("--budget WATTS") into `out`.  The
+/// whole token must be a finite number >= 0 (0 = derived, 85 % of the
+/// aggregate peak draw).  Anything else — "abc", "-10", "inf", "10W" —
+/// prints a note naming the value and returns false so the caller can
+/// fall through to usage(); `out` is left untouched.
+inline bool parse_budget(const char* text, std::optional<double>& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+    std::cerr << "--budget: expected a finite number of watts >= 0, got '"
+              << text << "'\n";
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 /// Parse an on/off flag value ("--batched on|off") into `out`.  Returns
 /// false on anything else so the caller can fall through to usage().
 inline bool parse_on_off(const char* text, bool& out) {
@@ -71,7 +90,7 @@ enum class ScenarioFlag {
 ///                     flags AFTER it override the file's values
 ///   --dtm POLICY --traces DIR --trace-pack FILE --slots N --threads N
 ///   --seed S --duration SECS --zone K --batched on|off --chunk N
-///   --executor on|off --gather on|off --no-plenum
+///   --no-plenum
 ///   --rooms N --plant-watts W --supply-amplitude C --facility-period S
 ///   --two-level on|off   (facility-scale; ignored by build_rack/build_room)
 ///
@@ -154,18 +173,6 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
   if (arg == "--chunk") {
     if (!has_value || !parse_nonnegative(argv[++i], spec.chunk)) {
       return bad("expected a non-negative integer");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--executor") {
-    if (!has_value || !parse_on_off(argv[++i], spec.executor)) {
-      return bad("expected on|off");
-    }
-    return ScenarioFlag::kConsumed;
-  }
-  if (arg == "--gather") {
-    if (!has_value || !parse_on_off(argv[++i], spec.gather)) {
-      return bad("expected on|off");
     }
     return ScenarioFlag::kConsumed;
   }

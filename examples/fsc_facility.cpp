@@ -20,7 +20,7 @@
 //                [--plant-watts W] [--supply-amplitude C]
 //                [--facility-period S] [--two-level on|off] [--no-pin]
 //                [--budget WATTS] [--step FRAC]
-//                [--batched on|off] [--chunk N] [--executor on|off]
+//                [--batched on|off] [--chunk N]
 //                [--no-cross-plenum] [--no-plenum]
 //                [--trace-out FILE.json] [--metrics-out FILE]
 //                [--metrics-every N] [--progress]
@@ -68,7 +68,7 @@ int usage(const char* argv0) {
                "[--facility-period S]\n"
                "       [--two-level on|off] [--no-pin] [--budget WATTS] "
                "[--step FRAC]\n"
-               "       [--batched on|off] [--chunk N] [--executor on|off]\n"
+               "       [--batched on|off] [--chunk N]\n"
                "       [--no-cross-plenum] [--no-plenum]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"
@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--racks") {
       if ((spec.racks = parse_positive(argv[++i])) == 0) return usage(argv[0]);
     } else if (arg == "--budget") {
-      spec.room_budget_watts = std::atof(argv[++i]);
+      if (!fsc_cli::parse_budget(argv[++i], spec.room_budget_watts)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--step") {
       spec.migration_step = std::atof(argv[++i]);
     } else if (arg == "--trace-out") {

@@ -15,7 +15,7 @@
 //   fsc_rack [--scenario FILE.json] [--policy COORD] [--dtm POLICY]
 //            [--traces DIR] [--slots N]
 //            [--threads N] [--seed S] [--duration SECS] [--budget WATTS]
-//            [--zone K] [--batched on|off] [--chunk N] [--executor on|off]
+//            [--zone K] [--batched on|off] [--chunk N]
 //            [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
 //            [--progress]
 //            [--no-plenum] [--out FILE.json] [--csv FILE.csv]
@@ -27,14 +27,13 @@
 //               injected deterministically at coordination barriers
 //   --policy    coordinator name (default "independent"); --list shows all
 //   --dtm       per-server DtmPolicy name (default the paper's full stack)
-//   --budget    rack CPU power budget in watts (0 = 85 % of aggregate max)
+//   --budget    rack CPU power budget in watts, a finite number >= 0
+//               (0 = 85 % of aggregate max; omitted = scenario default)
 //   --zone      slots per shared fan zone
 //   --batched   SoA batched physics (default on) vs the scalar
-//               one-task-per-server path — bit-identical, for A/B timing
+//               Server::step oracle — bit-identical, for A/B checks
 //   --chunk     lanes per batch chunk, the shard unit threads parallelise
 //               over (0 = auto); any value is bit-identical, for sweeps
-//   --executor  persistent lockstep executor (default on) vs per-round
-//               ThreadPool submission — bit-identical, for A/B timing
 //   --trace-out Chrome/Perfetto trace-event JSON of the run (coordination
 //               rounds, executor shards, plenum updates, fault instants) —
 //               load the file in https://ui.perfetto.dev; telemetry never
@@ -65,8 +64,7 @@ int usage(const char* argv0) {
                "       [--traces DIR] [--slots N]\n"
                "       [--threads N] [--seed S] [--duration SECS] "
                "[--budget WATTS]\n"
-               "       [--zone K] [--batched on|off] [--chunk N] "
-               "[--executor on|off]\n"
+               "       [--zone K] [--batched on|off] [--chunk N]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"
                "       [--progress]\n"
@@ -103,7 +101,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       spec.coordinator = argv[++i];
     } else if (arg == "--budget") {
-      spec.rack_budget_watts = std::atof(argv[++i]);
+      if (!fsc_cli::parse_budget(argv[++i], spec.rack_budget_watts)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--trace-out") {
       obs.trace_path = argv[++i];
     } else if (arg == "--metrics-out") {

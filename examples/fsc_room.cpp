@@ -18,7 +18,7 @@
 //            [--dtm POLICY]
 //            [--racks K] [--slots N] [--traces DIR] [--threads N]
 //            [--seed S] [--duration SECS] [--budget WATTS] [--step FRAC]
-//            [--batched on|off] [--chunk N] [--executor on|off]
+//            [--batched on|off] [--chunk N]
 //            [--no-cross-plenum] [--no-plenum]
 //            [--trace-out FILE.json] [--metrics-out FILE] [--metrics-every N]
 //            [--progress]
@@ -30,14 +30,13 @@
 //   --policy       room scheduler name (default "static"); --list shows all
 //   --coordinator  per-rack RackCoordinator name (default "independent")
 //   --dtm          per-server DtmPolicy name (default the paper's full stack)
-//   --budget       room CPU power budget in watts (0 = 85 % of aggregate max)
+//   --budget       room CPU power budget in watts, a finite number >= 0
+//                  (0 = 85 % of aggregate max; omitted = scenario default)
 //   --step         fraction of the hot rack's load moved per migration
 //   --batched      SoA batched physics (default on) vs the scalar
-//                  one-task-per-server path — bit-identical, for A/B timing
+//                  Server::step oracle — bit-identical, for A/B checks
 //   --chunk        lanes per batch chunk, the shard unit threads
 //                  parallelise over (0 = auto); bit-identical, for sweeps
-//   --executor     persistent lockstep executor (default on) vs per-round
-//                  ThreadPool submission — bit-identical, for A/B timing
 //   --trace-out    Chrome/Perfetto trace-event JSON of the run (rounds,
 //                  shards, scheduler calls, migration + fault instants) —
 //                  load in https://ui.perfetto.dev; telemetry never
@@ -69,7 +68,7 @@ int usage(const char* argv0) {
                "       [--racks K] [--slots N] [--traces DIR] [--threads N]\n"
                "       [--seed S] [--duration SECS] [--budget WATTS] "
                "[--step FRAC]\n"
-               "       [--batched on|off] [--chunk N] [--executor on|off]\n"
+               "       [--batched on|off] [--chunk N]\n"
                "       [--no-cross-plenum] [--no-plenum]\n"
                "       [--trace-out FILE.json] [--metrics-out FILE] "
                "[--metrics-every N]\n"
@@ -113,7 +112,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--racks") {
       if ((spec.racks = parse_positive(argv[++i])) == 0) return usage(argv[0]);
     } else if (arg == "--budget") {
-      spec.room_budget_watts = std::atof(argv[++i]);
+      if (!fsc_cli::parse_budget(argv[++i], spec.room_budget_watts)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--step") {
       spec.migration_step = std::atof(argv[++i]);
     } else if (arg == "--trace-out") {

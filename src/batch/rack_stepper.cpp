@@ -44,12 +44,6 @@ void RackBatchStepper::prepare() {
   if (table_ != nullptr) demand_buf_.resize(slots_.size());
 }
 
-void RackBatchStepper::advance_periods(long periods) {
-  if (slots_.empty()) return;
-  prepare();
-  advance_range_periods(0, slots_.size(), periods);
-}
-
 void RackBatchStepper::advance_chunk_periods(std::size_t chunk, long periods) {
   require(chunk < num_chunks(),
           "RackBatchStepper::advance_chunk_periods: chunk index out of range");

@@ -31,8 +31,7 @@
 // c's slots and touches no shared mutable state (call prepare() once,
 // single-threaded, first).  This is what lets the lockstep engines shard a
 // rack across a LockstepExecutor: chunks parallelise across threads,
-// lanes vectorize within a chunk.  advance_periods() remains the
-// whole-batch (single-chunk) path.
+// lanes vectorize within a chunk.
 #pragma once
 
 #include <cstddef>
@@ -86,9 +85,10 @@ class RackBatchStepper {
   /// slot.  The table must hold exactly one lane per registered slot, in
   /// slot order, built from the same workload objects the sessions hold —
   /// then the gathered values are bit-identical to the per-lane calls by
-  /// construction.  Borrowed; null (the default) keeps the classic path.
-  /// Set before prepare().  Fault-forced scalar lanes always use the
-  /// classic path regardless.
+  /// construction.  Borrowed; null (the default, and what the engine
+  /// leaves when some lane cannot be tabled) keeps the per-lane virtual
+  /// path.  Set before prepare().  Fault-forced scalar lanes always use
+  /// the per-lane path regardless.
   void set_workload_table(const WorkloadTable* table);
   const WorkloadTable* workload_table() const noexcept { return table_; }
 
@@ -96,11 +96,6 @@ class RackBatchStepper {
   /// physics step.  Must run once — single-threaded — after the last
   /// add_slot() and before any advance_chunk_periods() wave; idempotent.
   void prepare();
-
-  /// Advance every slot by up to `periods` CPU control periods, stopping
-  /// early when the sessions are done.  Single-threaded whole-batch path
-  /// (prepares dt itself).
-  void advance_periods(long periods);
 
   /// Advance only chunk `chunk` (slots [chunk * chunk_lanes(), ...)) by up
   /// to `periods` periods.  Distinct chunks may run concurrently — they

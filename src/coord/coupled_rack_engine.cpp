@@ -1,7 +1,6 @@
 #include "coord/coupled_rack_engine.hpp"
 
 #include <algorithm>
-#include <future>
 #include <iomanip>
 #include <memory>
 #include <optional>
@@ -16,9 +15,8 @@
 #include "obs/snapshot.hpp"
 #include "sim/instrumentation.hpp"
 #include "util/lockstep_executor.hpp"
-#include "workload/workload_table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
+#include "workload/workload_table.hpp"
 
 namespace fsc {
 
@@ -26,8 +24,9 @@ namespace {
 
 /// Everything one slot needs to advance between barriers, at a stable
 /// address (the Server keeps a pointer to the Rng, the Session keeps
-/// references to everything).  Construction order mirrors
-/// BatchRunner::run_server exactly so an uncoupled run is bit-identical.
+/// references to everything).  Construction order mirrors a standalone
+/// run_simulation of the spec (seeded Rng, workload, server, policy)
+/// exactly, so an uncoupled run is bit-identical to one.
 struct SlotRuntime {
   Rng rng;
   std::shared_ptr<const Workload> workload;
@@ -79,22 +78,20 @@ CoupledRackEngine::CoupledRackEngine(CoupledRackParams params,
 
 struct CoupledRackEngine::Session::Impl {
   CoupledRackParams params;
-  ThreadPool* pool = nullptr;  ///< null for executor-driven sessions
   Rack rack;
   std::unique_ptr<RackCoordinator> coordinator;
   long periods_per_round = 0;
   std::vector<std::unique_ptr<SlotRuntime>> slots;
   /// Chunked SoA stepping (null when params.batched is off).
   std::unique_ptr<RackBatchStepper> stepper;
-  /// Batched demand gather (null when params.gather is off, the rack is
-  /// unbatched, or some lane's workload is not pre-sampled).  Owned here
-  /// at a stable address; the stepper borrows it.
+  /// Batched demand gather (null when the rack is unbatched or some lane's
+  /// workload is not pre-sampled).  Owned here at a stable address; the
+  /// stepper borrows it.
   std::unique_ptr<WorkloadTable> workload_table;
   /// Fault driver (null when params.faults is empty — the common case, in
   /// which no fault code runs anywhere near the hot path).
   std::unique_ptr<FaultInjector> injector;
   std::optional<SharedPlenumModel> plenum;
-  std::vector<std::future<void>> futures;
   std::vector<SlotObservation> observations;
   // Reusable per-round scratch (hoisted so the steady-state round loop
   // allocates nothing).
@@ -114,8 +111,7 @@ struct CoupledRackEngine::Session::Impl {
   std::uint32_t rack_label = 0;
 #endif
 
-  Impl(const CoupledRackParams& p, ThreadPool* worker_pool)
-      : params(p), pool(worker_pool), rack(p.rack) {
+  explicit Impl(const CoupledRackParams& p) : params(p), rack(p.rack) {
     const SimulationParams& sim = params.rack.sim;
     const SolutionConfig& solution = params.rack.solution;
 
@@ -142,22 +138,15 @@ struct CoupledRackEngine::Session::Impl {
       stepper = std::make_unique<RackBatchStepper>();
       stepper->set_chunk_lanes(params.chunk);
       for (const auto& rt : slots) stepper->add_slot(*rt->session, rt->server);
-      if (params.gather) {
-        // Batched demand path: table every lane once, up front.  A single
-        // non-tableable workload drops the whole table — the classic
-        // per-lane path is always correct, the table only faster.
-        auto table = std::make_unique<WorkloadTable>();
-        bool all_tabled = true;
-        for (const auto& rt : slots) {
-          if (!table->add_lane(*rt->workload)) {
-            all_tabled = false;
-            break;
-          }
-        }
-        if (all_tabled) {
-          workload_table = std::move(table);
-          stepper->set_workload_table(workload_table.get());
-        }
+      // Batched demand path: table every lane once, up front.  A single
+      // non-tableable workload drops the whole table — the per-lane
+      // virtual path is always correct, the table only faster.
+      auto table = std::make_unique<WorkloadTable>();
+      if (std::all_of(slots.begin(), slots.end(), [&table](const auto& rt) {
+            return table->add_lane(*rt->workload);
+          })) {
+        workload_table = std::move(table);
+        stepper->set_workload_table(workload_table.get());
       }
       // Freeze the dt memos now, single-threaded: chunks of this batch may
       // later step concurrently and must never refresh shared state.
@@ -201,18 +190,11 @@ struct CoupledRackEngine::Session::Impl {
   }
 };
 
-CoupledRackEngine::Session::Session(const CoupledRackParams& params,
-                                    ThreadPool& pool) {
+CoupledRackEngine::Session::Session(const CoupledRackParams& params) {
   // Validate coordination timing up front, exactly like the engine ctor.
   (void)derive_fan_divider(params.rack.sim.cpu_period_s,
                            params.coord.coordination_period_s);
-  impl_ = std::make_unique<Impl>(params, &pool);
-}
-
-CoupledRackEngine::Session::Session(const CoupledRackParams& params) {
-  (void)derive_fan_divider(params.rack.sim.cpu_period_s,
-                           params.coord.coordination_period_s);
-  impl_ = std::make_unique<Impl>(params, nullptr);
+  impl_ = std::make_unique<Impl>(params);
 }
 
 CoupledRackEngine::Session::~Session() = default;
@@ -253,35 +235,12 @@ void CoupledRackEngine::Session::run_shard(std::size_t shard) {
     im.stepper->advance_chunk_periods(shard, periods_per_round);
     return;
   }
-  // Scalar granularity: the shard is one slot (the pre-batch path, kept
-  // for A/B comparison and as the bit-identity reference).
+  // Scalar granularity: the shard is one slot (the Server::step oracle the
+  // batched path is tested against).
   SlotRuntime& rt = *im.slots[shard];
   for (long i = 0; i < periods_per_round && !rt.session->done(); ++i) {
     rt.session->step_period();
   }
-}
-
-void CoupledRackEngine::Session::begin_round() {
-  Impl& im = *impl_;
-  require(im.pool != nullptr,
-          "CoupledRackEngine::Session: begin_round needs a pool-constructed "
-          "session (executor-driven sessions use the shard surface)");
-  if (done()) return;
-  // Every shard advances one coordination period — slots only interact at
-  // the barrier in complete_round(), so task order is free.
-  im.futures.clear();
-  const std::size_t shards = num_shards();
-  im.futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    im.futures.push_back(im.pool->submit([this, s] { run_shard(s); }));
-  }
-}
-
-void CoupledRackEngine::Session::complete_round() {
-  Impl& im = *impl_;
-  for (auto& f : im.futures) f.get();  // barrier; rethrows worker exceptions
-  im.futures.clear();
-  coordinate_round();
 }
 
 void CoupledRackEngine::Session::coordinate_round() {
@@ -477,21 +436,11 @@ CoupledRackResult CoupledRackEngine::Session::finish() {
 }
 
 CoupledRackResult CoupledRackEngine::run() const {
-  // Both execution strategies share one telemetry-aware round loop; the
-  // strategy only decides how a round's shards get to the workers.
-  std::optional<LockstepExecutor> executor;
-  std::optional<ThreadPool> pool;
-  std::optional<Session> session;
-  if (params_.executor) {
-    // Persistent-worker path: pre-assigned chunk shards behind one epoch
-    // barrier per round — no per-round task submission at all.
-    executor.emplace(threads_);
-    session.emplace(params_);
-  } else {
-    pool.emplace(threads_);
-    session.emplace(params_, *pool);
-  }
-  const std::size_t shards = session->num_shards();
+  // Persistent workers: pre-assigned shards behind one epoch barrier per
+  // round — no per-round task submission at all.
+  LockstepExecutor executor(threads_);
+  Session session(params_);
+  const std::size_t shards = session.num_shards();
 
 #if FSC_OBS_ENABLED
   const obs::Telemetry& tel = params_.obs;
@@ -501,21 +450,16 @@ CoupledRackResult CoupledRackEngine::run() const {
   std::uint64_t window_violations_seen = 0;
 #endif
 
-  while (!session->done()) {
+  while (!session.done()) {
 #if FSC_OBS_ENABLED
     const std::int64_t round_t0 =
         (tel.trace != nullptr || round_hist != nullptr) ? obs::monotonic_ns()
                                                         : 0;
-    const std::size_t round_idx = session->rounds();
+    const std::size_t round_idx = session.rounds();
 #endif
-    if (executor) {
-      executor->run(shards, [&session](std::size_t shard) {
-        session->run_shard(shard);
-      });
-      session->coordinate_round();
-    } else {
-      session->advance_round();
-    }
+    executor.run(shards,
+                 [&session](std::size_t shard) { session.run_shard(shard); });
+    session.coordinate_round();
 #if FSC_OBS_ENABLED
     std::uint64_t round_ns = 0;
     if (round_t0 != 0) {
@@ -527,31 +471,31 @@ CoupledRackResult CoupledRackEngine::run() const {
       }
       if (round_hist != nullptr) round_hist->observe(round_ns);
     }
-    const std::size_t rounds_done = session->rounds();
+    const std::size_t rounds_done = session.rounds();
     if (tel.snapshot != nullptr && tel.snapshot->due(rounds_done) &&
-        !session->last_observations().empty()) {
+        !session.last_observations().empty()) {
       obs::SnapshotExporter::Row row;
       row.round = rounds_done;
-      row.time_s = session->time_s();
+      row.time_s = session.time_s();
       row.rack = static_cast<int>(tel.rack);
-      row.demand_scale = session->demand_scale();
-      for (const SlotObservation& o : session->last_observations()) {
+      row.demand_scale = session.demand_scale();
+      for (const SlotObservation& o : session.last_observations()) {
         row.cpu_watts += o.cpu_watts;
         row.mean_inlet_c += o.inlet_celsius;
         row.max_inlet_c = std::max(row.max_inlet_c, o.inlet_celsius);
         row.mean_fan_rpm += o.fan_actual_rpm;
       }
       const double n =
-          static_cast<double>(session->last_observations().size());
+          static_cast<double>(session.last_observations().size());
       row.mean_inlet_c /= n;
       row.mean_fan_rpm /= n;
       const std::uint64_t pooled = static_cast<std::uint64_t>(
-          session->pooled_deadline_violations_so_far());
+          session.pooled_deadline_violations_so_far());
       row.window_violations = pooled - window_violations_seen;
       window_violations_seen = pooled;
       row.total_violations = pooled;
-      row.fan_energy_j = session->fan_energy_joules_so_far();
-      row.cpu_energy_j = session->cpu_energy_joules_so_far();
+      row.fan_energy_j = session.fan_energy_joules_so_far();
+      row.cpu_energy_j = session.cpu_energy_joules_so_far();
       if (tel.metrics != nullptr) {
         const auto snap = tel.metrics->snapshot();
         const std::uint64_t hits = snap.counter("batch.memo_hit") +
@@ -567,22 +511,22 @@ CoupledRackResult CoupledRackEngine::run() const {
     }
     if (tel.progress != nullptr) {
       tel.progress->tick(
-          rounds_done, session->time_s(),
+          rounds_done, session.time_s(),
           static_cast<std::uint64_t>(
-              session->pooled_deadline_violations_so_far()));
+              session.pooled_deadline_violations_so_far()));
     }
 #endif
   }
 #if FSC_OBS_ENABLED
   if (tel.progress != nullptr) {
     tel.progress->finish(
-        session->rounds(), params_.rack.sim.duration_s,
+        session.rounds(), params_.rack.sim.duration_s,
         static_cast<std::uint64_t>(
-            session->pooled_deadline_violations_so_far()));
+            session.pooled_deadline_violations_so_far()));
   }
   if (tel.snapshot != nullptr) tel.snapshot->close();
 #endif
-  return session->finish();
+  return session.finish();
 }
 
 std::string CoupledRackResult::to_table() const {

@@ -1,9 +1,7 @@
 // Lockstep rack simulation: N servers advanced as ONE coupled plant.
 //
-// The BatchRunner (rack/batch_runner.hpp) fans N *independent* runs across
-// a thread pool — correct for embarrassingly parallel sweeps, but unable to
-// express any physics or control that crosses a chassis boundary.  The
-// CoupledRackEngine closes both loops:
+// A rack's servers are not independent runs: they share air and power.
+// The CoupledRackEngine closes both loops:
 //
 //   * physics coupling: a SharedPlenumModel (coord/plenum.hpp) recomputes
 //     every slot's inlet air temperature from its neighbors' exhaust at
@@ -13,14 +11,16 @@
 //     (rack power budgeting) between barriers.
 //
 // Execution model: the run is cut into coordination periods (a whole
-// multiple of the CPU control period).  Within a period every slot steps
-// its own SimulationEngine::Session — fanned out across the ThreadPool,
-// since slots do not interact mid-period — then a deterministic barrier
-// gathers observations in slot order, the coordinator issues directives,
-// and the plenum retargets the inlets.  Nothing depends on thread
-// scheduling, so results are bit-identical for any thread count; with the
-// "independent" coordinator and the plenum disabled they are bit-identical
-// to BatchRunner's (test_coord verifies both properties).
+// multiple of the CPU control period).  Within a period every shard (a
+// chunk of the rack's SoA batch, or one slot on the scalar path) steps on
+// a persistent LockstepExecutor (util/lockstep_executor.hpp), since slots
+// do not interact mid-period — then a deterministic barrier gathers
+// observations in slot order, the coordinator issues directives, and the
+// plenum retargets the inlets.  Nothing depends on thread scheduling, so
+// results are bit-identical for any thread count; with the "independent"
+// coordinator and the plenum disabled every slot is bit-identical to a
+// standalone run_simulation of its spec (test_coord verifies both
+// properties).
 #pragma once
 
 #include <cstddef>
@@ -33,13 +33,10 @@
 #include "fault/fault_plan.hpp"
 #include "metrics/energy_report.hpp"
 #include "obs/obs.hpp"
-#include "rack/batch_runner.hpp"
 #include "rack/rack.hpp"
 #include "util/statistics.hpp"
 
 namespace fsc {
-
-class ThreadPool;
 
 /// Everything a coupled run needs: the rack (specs, slot policy, timing),
 /// the coordinator selection, and the coupling physics.
@@ -52,36 +49,21 @@ struct CoupledRackParams {
   CoordinatorConfig coord;
   PlenumParams plenum;
   bool plenum_enabled = true;
-  /// Step the rack's plant physics as ONE SoA batch (batch/ layer),
-  /// advancing every slot with the vectorized kernel instead of one task
-  /// per server.  Trajectories are bit-identical either way (test_batch);
-  /// the flag exists so the two paths can be A/B'd (`fsc_rack --batched
-  /// off`).
+  /// Step the rack's plant physics as ONE SoA batch (batch/ layer)
+  /// instead of one scalar Server::step chain per slot.  Trajectories are
+  /// bit-identical either way (test_batch); off is the slow scalar oracle
+  /// (`fsc_rack --batched off`).  A batched rack resolves every lane's
+  /// per-period demand through one WorkloadTable gather when every slot's
+  /// workload is pre-sampled (workload/workload_table.hpp), and falls back
+  /// to a virtual Workload::demand call per lane otherwise.
   bool batched = true;
-  /// Lanes per batch chunk — the shard unit the lockstep drivers
-  /// parallelise over, giving *intra*-rack thread scaling.  0 = automatic
+  /// Lanes per batch chunk — the shard unit the LockstepExecutor
+  /// parallelises over, giving *intra*-rack thread scaling.  0 = automatic
   /// (RackBatchStepper::kAutoChunkLanes).  Any chunk size is bit-identical
   /// to any other (test_batch verifies {1, odd, N}); `fsc_rack --chunk N`
   /// exists to A/B the granularity.  Ignored when `batched` is off (the
   /// scalar path shards per slot).
   std::size_t chunk = 0;
-  /// Batched demand resolution: resolve every lane's per-period demand
-  /// through one WorkloadTable indexed-gather loop instead of a virtual
-  /// Workload::demand call per slot (workload/workload_table.hpp).  Only
-  /// takes effect when `batched` is on AND every slot's workload is
-  /// pre-sampled (SampledWorkload / StoredTraceWorkload — all practical
-  /// sources; an exotic lane silently keeps the classic path for the
-  /// whole rack).  The gathered values are computed with the per-lane
-  /// path's exact expressions, so on/off runs are bit-identical
-  /// (test_trace_store EXPECT_EQs across threads x chunks); the flag
-  /// exists to A/B the dispatch cost (`fsc_rack --gather off`).
-  bool gather = true;
-  /// Drive rounds with the persistent LockstepExecutor (pre-assigned chunk
-  /// shards + epoch barrier, util/lockstep_executor.hpp) instead of
-  /// per-round ThreadPool submission.  Bit-identical either way; the
-  /// ThreadPool path is kept selectable (`fsc_rack --executor off`) for
-  /// A/B comparison.
-  bool executor = true;
   /// Telemetry sinks (obs/obs.hpp), default fully detached.  Read-only
   /// with respect to the simulation: attaching any combination of sinks
   /// leaves the trajectory bit-identical (test_obs pins this).  Sessions
@@ -146,28 +128,28 @@ class CoupledRackEngine {
  public:
   /// Resumable round-by-round stepping of one rack (the rack-scale
   /// analogue of SimulationEngine::Session).  run() is exactly
-  /// `Session s(params, pool); while (!s.done()) s.advance_round();
-  /// s.finish();` — the Session exists so lockstep multi-rack drivers
-  /// (room/RoomEngine) can advance many racks one coordination round at a
-  /// time over a *shared* ThreadPool and schedule between rounds.
   ///
-  /// A round is split into begin_round() (fan the slot stepping out into
-  /// the pool) and complete_round() (barrier + rack coordination + plenum
-  /// retargeting, on the calling thread) so a room can launch every rack's
-  /// work before blocking on any barrier.  Between rounds a room scheduler
-  /// may migrate load onto or off this rack (set_demand_scale) and impose
-  /// a room-plenum preheat (set_ambient_offset); both default to exact
+  ///   Session s(params);
+  ///   while (!s.done()) {
+  ///     executor.run(s.num_shards(), [&](size_t i) { s.run_shard(i); });
+  ///     s.coordinate_round();
+  ///   }
+  ///   s.finish();
+  ///
+  /// plus telemetry.  The Session exists so lockstep multi-rack drivers
+  /// (room/RoomEngine) can advance many racks one coordination round at a
+  /// time over a *shared* executor and schedule between rounds.  Between
+  /// rounds a room scheduler may migrate load onto or off this rack
+  /// (set_demand_scale) and impose a room-plenum preheat
+  /// (set_ambient_offset); both default to exact
   /// no-ops, in which case the step sequence is bit-identical to a
   /// standalone run.
   class Session {
    public:
     /// Builds the slot runtimes, resolves the coordinator by name, and
-    /// settles every slot at its initial operating point.  `pool` is only
-    /// borrowed and must outlive the session's stepping.
-    Session(const CoupledRackParams& params, ThreadPool& pool);
-    /// Pool-free session for executor-driven stepping: the owner advances
-    /// the session through the shard surface (num_shards / run_shard /
-    /// coordinate_round) and begin_round() is invalid.
+    /// settles every slot at its initial operating point.  The owner
+    /// advances the session through the shard surface (num_shards /
+    /// run_shard / coordinate_round).
     explicit Session(const CoupledRackParams& params);
     ~Session();
     Session(const Session&) = delete;
@@ -179,20 +161,8 @@ class CoupledRackEngine {
     std::size_t rounds() const noexcept;
     std::size_t num_slots() const noexcept;
 
-    /// Submit one coordination period of per-slot stepping to the pool —
-    /// one task per shard (see num_shards()).  No-op once done().  Only
-    /// valid on a pool-constructed session.
-    void begin_round();
-    /// Barrier on the submitted work, then coordinate + retarget inlets
-    /// (deterministic, on the calling thread).  Must follow begin_round().
-    void complete_round();
-    void advance_round() {
-      begin_round();
-      complete_round();
-    }
-
-    /// Shard surface for executor-driven stepping (the unit a
-    /// LockstepExecutor parallelises): batched sessions shard per batch
+    /// Shard surface (the unit a LockstepExecutor parallelises): batched
+    /// sessions shard per batch
     /// chunk (CoupledRackParams::chunk lanes each), scalar sessions per
     /// slot.  Constant for the session's lifetime.
     std::size_t num_shards() const noexcept;
@@ -202,8 +172,8 @@ class CoupledRackEngine {
     /// shard before coordinate_round().
     void run_shard(std::size_t shard);
     /// The deterministic barrier tail of a round (observation gather in
-    /// slot order, coordination directives, plenum retargeting) — exactly
-    /// what complete_round() runs after draining its pool futures.
+    /// slot order, coordination directives, plenum retargeting), on the
+    /// calling thread after every shard of the round has run.
     void coordinate_round();
 
     /// Room-level load migration: every slot's demanded utilization is
@@ -216,7 +186,7 @@ class CoupledRackEngine {
     double ambient_offset() const noexcept;
 
     /// Per-slot observations gathered at the most recent barrier (empty
-    /// before the first complete_round()).
+    /// before the first coordinate_round()).
     const std::vector<SlotObservation>& last_observations() const noexcept;
     /// Pooled deadline violations accumulated so far (for windowed room
     /// accounting).

@@ -21,8 +21,6 @@ void ScenarioSpec::validate() const {
   require(slots > 0, "ScenarioSpec: need at least one slot per rack");
   const std::pair<const char*, double> reals[] = {
       {"duration_s", duration_s},
-      {"rack_budget_watts", rack_budget_watts},
-      {"room_budget_watts", room_budget_watts},
       {"migration_step", migration_step},
       {"plant_capacity_watts", plant_capacity_watts},
       {"supply_amplitude_c", supply_amplitude_c},
@@ -33,6 +31,17 @@ void ScenarioSpec::validate() const {
     if (!std::isfinite(value)) {
       throw std::invalid_argument(std::string("ScenarioSpec: ") + name +
                                   " must be finite");
+    }
+  }
+  const std::pair<const char*, std::optional<double>> budgets[] = {
+      {"rack_budget_watts", rack_budget_watts},
+      {"room_budget_watts", room_budget_watts},
+  };
+  for (const auto& [name, value] : budgets) {
+    if (value && !(std::isfinite(*value) && *value >= 0.0)) {
+      throw std::invalid_argument(
+          std::string("ScenarioSpec: ") + name +
+          " must be a finite number >= 0 (unset = scenario default)");
     }
   }
   require(duration_s > 0.0, "ScenarioSpec: duration_s must be > 0");
@@ -100,13 +109,9 @@ CoupledRackParams ScenarioSpec::build_rack() const {
   p.plenum_enabled = plenum;
   p.batched = batched;
   p.chunk = chunk;
-  p.executor = executor;
-  p.gather = gather;
   if (!coordinator.empty()) p.coordinator = coordinator;
   if (!dtm.empty()) p.rack.policy = dtm;
-  if (rack_budget_watts >= 0.0) {
-    p.coord.rack_power_budget_watts = rack_budget_watts;
-  }
+  if (rack_budget_watts) p.coord.rack_power_budget_watts = *rack_budget_watts;
   if (fan_zone > 0) p.coord.fan_zone_size = fan_zone;
   const auto traces = scenario_traces(trace_dir, trace_pack);
   if (!traces.empty()) p.rack.traces = traces;
@@ -120,9 +125,8 @@ RoomParams ScenarioSpec::build_room() const {
   RoomParams p = default_room_scenario(racks, seed, duration_s);
   if (!scheduler.empty()) p.scheduler = scheduler;
   p.cross_plenum_enabled = cross_plenum;
-  p.executor = executor;
-  if (room_budget_watts >= 0.0) {
-    p.sched.room_power_budget_watts = room_budget_watts;
+  if (room_budget_watts) {
+    p.sched.room_power_budget_watts = *room_budget_watts;
   }
   if (migration_step > 0.0) p.sched.migration_step = migration_step;
 
@@ -135,11 +139,10 @@ RoomParams ScenarioSpec::build_room() const {
     rack.plenum_enabled = plenum;
     rack.batched = batched;
     rack.chunk = chunk;
-    rack.gather = gather;
     if (!coordinator.empty()) rack.coordinator = coordinator;
     if (!dtm.empty()) rack.rack.policy = dtm;
-    if (rack_budget_watts >= 0.0) {
-      rack.coord.rack_power_budget_watts = rack_budget_watts;
+    if (rack_budget_watts) {
+      rack.coord.rack_power_budget_watts = *rack_budget_watts;
     }
     if (fan_zone > 0) rack.coord.fan_zone_size = fan_zone;
     if (!traces.empty()) {
@@ -177,6 +180,19 @@ FacilityParams ScenarioSpec::build_facility() const {
   return f;
 }
 
+namespace {
+
+json::Value optional_number(const std::optional<double>& v) {
+  return v ? json::Value::number(*v) : json::Value::null();
+}
+
+std::optional<double> as_optional_number(const json::Value& v) {
+  if (v.is_null()) return std::nullopt;
+  return v.as_number();
+}
+
+}  // namespace
+
 std::string ScenarioSpec::to_json(int indent) const {
   json::Value o = json::Value::object();
   o.set("racks", json::Value::number(static_cast<double>(racks)));
@@ -186,8 +202,8 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("dtm", json::Value::string(dtm));
   o.set("coordinator", json::Value::string(coordinator));
   o.set("scheduler", json::Value::string(scheduler));
-  o.set("rack_budget_watts", json::Value::number(rack_budget_watts));
-  o.set("room_budget_watts", json::Value::number(room_budget_watts));
+  o.set("rack_budget_watts", optional_number(rack_budget_watts));
+  o.set("room_budget_watts", optional_number(room_budget_watts));
   o.set("migration_step", json::Value::number(migration_step));
   o.set("fan_zone", json::Value::number(static_cast<double>(fan_zone)));
   o.set("plenum", json::Value::boolean(plenum));
@@ -195,8 +211,6 @@ std::string ScenarioSpec::to_json(int indent) const {
   o.set("threads", json::Value::number(static_cast<double>(threads)));
   o.set("chunk", json::Value::number(static_cast<double>(chunk)));
   o.set("batched", json::Value::boolean(batched));
-  o.set("executor", json::Value::boolean(executor));
-  o.set("gather", json::Value::boolean(gather));
   o.set("trace_dir", json::Value::string(trace_dir));
   o.set("trace_pack", json::Value::string(trace_pack));
   o.set("faults", json::Value::parse(faults.to_json()));
@@ -244,9 +258,9 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
     } else if (key == "scheduler") {
       spec.scheduler = value.as_string();
     } else if (key == "rack_budget_watts") {
-      spec.rack_budget_watts = value.as_number();
+      spec.rack_budget_watts = as_optional_number(value);
     } else if (key == "room_budget_watts") {
-      spec.room_budget_watts = value.as_number();
+      spec.room_budget_watts = as_optional_number(value);
     } else if (key == "migration_step") {
       spec.migration_step = value.as_number();
     } else if (key == "fan_zone") {
@@ -261,10 +275,6 @@ ScenarioSpec ScenarioSpec::from_json_text(const std::string& text) {
       spec.chunk = as_index(value, "chunk");
     } else if (key == "batched") {
       spec.batched = value.as_bool();
-    } else if (key == "executor") {
-      spec.executor = value.as_bool();
-    } else if (key == "gather") {
-      spec.gather = value.as_bool();
     } else if (key == "trace_dir") {
       spec.trace_dir = value.as_string();
     } else if (key == "trace_pack") {

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "coord/coupled_rack_engine.hpp"
@@ -33,10 +34,10 @@
 
 namespace fsc {
 
-/// A run, declaratively.  Every field has a sensible default; overrides
-/// with "scenario default" sentinels (-1 budgets, 0 zone, empty strings)
-/// leave the canonical contended scenario's value in force, exactly like
-/// the CLI flags they replaced.
+/// A run, declaratively.  Every field has a sensible default; unset
+/// budgets and "scenario default" sentinels (0 zone, empty strings) leave
+/// the canonical contended scenario's value in force, exactly like the CLI
+/// flags they replaced.
 struct ScenarioSpec {
   // --- fleet shape -------------------------------------------------------
   std::size_t racks = 1;  ///< 1 = rack-scale (build_rack), > 1 = room-scale
@@ -50,8 +51,11 @@ struct ScenarioSpec {
   std::string scheduler = "static";  ///< room scheduler (room-scale only)
 
   // --- control knobs -----------------------------------------------------
-  double rack_budget_watts = -1.0;  ///< < 0 = scenario default
-  double room_budget_watts = -1.0;  ///< < 0 = scenario default (room only)
+  /// Power budgets in watts.  Unset = the scenario's own budget; 0 =
+  /// derived (85 % of the aggregate peak draw, coord/coordinator.hpp and
+  /// room/scheduler.hpp).  validate() refuses a negative or non-finite one.
+  std::optional<double> rack_budget_watts;
+  std::optional<double> room_budget_watts;  ///< room-scale only
   double migration_step = -1.0;     ///< <= 0 = scenario default (room only)
   std::size_t fan_zone = 0;         ///< slots per fan zone; 0 = default
   bool plenum = true;               ///< rack-level shared plenum
@@ -60,9 +64,7 @@ struct ScenarioSpec {
   // --- execution ---------------------------------------------------------
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   std::size_t chunk = 0;    ///< lanes per batch chunk; 0 = auto
-  bool batched = true;
-  bool executor = true;
-  bool gather = true;  ///< batched WorkloadTable demand path (bit-identical)
+  bool batched = true;  ///< off = the scalar Server::step oracle
 
   // --- inputs ------------------------------------------------------------
   std::string trace_dir;   ///< replay CSV traces (round-robin); empty = none
@@ -80,8 +82,9 @@ struct ScenarioSpec {
 
   bool operator==(const ScenarioSpec&) const = default;
 
-  /// Cross-field validation: finite real-valued fields, positive fleet
-  /// shape and duration, a duration within the engine's control-period
+  /// Cross-field validation: finite real-valued fields, budgets >= 0 when
+  /// set, positive fleet shape and duration, a duration within the
+  /// engine's control-period
   /// ceiling (kMaxSimulationPeriods), policy names known to the
   /// PolicyFactory (empty = default accepted), fault plan addressing real
   /// victims, migration step in (0, 1) when set.  Throws
@@ -110,7 +113,8 @@ struct ScenarioSpec {
   FacilityParams build_facility() const;
 
   /// The spec as a JSON object — a valid --scenario file.  Defaulted
-  /// fields are emitted too, so the file documents the whole run.
+  /// fields are emitted too, so the file documents the whole run (an unset
+  /// budget as null).
   std::string to_json(int indent = 2) const;
   /// Parse the object form to_json emits.  Missing keys keep their
   /// defaults; unknown keys throw (a typo'd knob must not silently run the

@@ -1,17 +1,14 @@
-// Persistent-worker lockstep executor: the steady-state engine room of the
+// Persistent-worker lockstep executor: the one round driver of the
 // rack/room lockstep loops.
 //
-// The ThreadPool (util/thread_pool.hpp) is a general task queue: every
-// submit() allocates a shared_ptr<packaged_task> plus a std::function and
-// takes the one global queue mutex, and every barrier is a future::get.
-// That is fine for coarse batch sweeps, but the lockstep engines submit a
-// fresh wave of tasks every coordination round — thousands of rounds per
-// run — and the per-round submit storm plus futex traffic swamps the
-// actual physics once the work is chunked finely enough to scale.
+// The lockstep engines run a fresh wave of shards every coordination
+// round — thousands of rounds per run.  A general task queue would pay a
+// heap-allocated task, a queue mutex and a future per shard per round, and
+// that submit storm plus futex traffic swamps the actual physics once the
+// work is chunked finely enough to scale.
 //
-// The LockstepExecutor replaces the queue with the classic DAQ-style
-// persistent-worker design (cf. the YARR-like run loops in the related
-// repos): workers are spawned once and park on an atomic *epoch* counter;
+// The LockstepExecutor instead uses the classic DAQ-style persistent-worker
+// design: workers are spawned once and park on an atomic *epoch* counter;
 // each run(count, fn) pre-assigns every participant a contiguous shard of
 // [0, count), bumps the epoch to release the workers, processes the
 // caller's own shard on the calling thread, and spins/waits on an atomic
@@ -22,8 +19,7 @@
 // Determinism: shard assignment is a pure function of (count, size()), so
 // which participant executes which index never depends on scheduling.  The
 // engines only hand the executor index-disjoint work (batch chunks, slot
-// sessions), so results are bit-identical for any thread count — the same
-// guarantee the ThreadPool path gives, at a fraction of the overhead.
+// sessions), so results are bit-identical for any thread count.
 //
 // Exceptions: a shard that throws aborts the remainder of that
 // participant's shard span (other participants run to completion); run()

@@ -12,15 +12,16 @@
 // Bit-identity contract: the gather computes each lane's value with the
 // EXACT expressions the per-lane path uses — the shared zoh_index helper
 // (workload/trace.hpp) over the same precomputed reciprocal, and
-// pack::kDequant for stored traces — so gather-on and gather-off runs are
-// EXPECT_EQ-identical across thread counts and chunk sizes (test_batch /
-// test_trace_store pin this).
+// pack::kDequant for stored traces — so a table-driven batched rack is
+// EXPECT_EQ-identical to the scalar Server::step oracle across thread
+// counts and chunk sizes (test_trace_store pins this).
 //
 // Coverage: only pre-sampled sources can be tabled (SampledWorkload and
 // StoredTraceWorkload — every practical source; synthetic generators
 // pre-sample into SampledWorkload).  add_lane() reports a non-tableable
-// workload by returning false, and the engine simply keeps the classic
-// per-lane path for the whole rack (correctness never depends on coverage).
+// workload by returning false, and the engine keeps the per-lane virtual
+// path for the whole rack (correctness never depends on coverage; the
+// tableless fallback is pinned against the same oracle).
 #pragma once
 
 #include <cstddef>

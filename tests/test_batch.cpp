@@ -388,48 +388,42 @@ TEST(BatchedRack, BitIdenticalToScalarPathAcross128Threads) {
 }
 
 TEST(ChunkedRack, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
-  // The chunked executor path must reproduce BOTH references exactly: the
-  // scalar one-task-per-server path and the PR-4 whole-rack batched path
-  // (chunk >= N, ThreadPool driver), for every chunk granularity {1, odd,
-  // auto, N} x {1, 2, 8} threads.
+  // The chunked path must reproduce BOTH references exactly: the scalar
+  // one-shard-per-server path and the whole-rack batched path (chunk >= N,
+  // one shard), for every chunk granularity {1, odd, auto, N} x {1, 2, 8}
+  // threads.
   CoupledRackParams scalar_params = rack_params("shared-fan-zone");
   scalar_params.batched = false;
-  scalar_params.executor = false;
   const CoupledRackResult scalar = CoupledRackEngine(scalar_params, 1).run();
 
-  CoupledRackParams pr4_params = rack_params("shared-fan-zone");
-  pr4_params.batched = true;
-  pr4_params.executor = false;
-  pr4_params.chunk = pr4_params.rack.num_servers;  // one whole-rack chunk
-  const CoupledRackResult pr4 = CoupledRackEngine(pr4_params, 2).run();
-  expect_identical(scalar, pr4);
+  CoupledRackParams whole_params = rack_params("shared-fan-zone");
+  whole_params.batched = true;
+  whole_params.chunk = whole_params.rack.num_servers;  // one whole-rack chunk
+  const CoupledRackResult whole = CoupledRackEngine(whole_params, 2).run();
+  expect_identical(scalar, whole);
 
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                             std::size_t{0} /* auto */}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       CoupledRackParams p = rack_params("shared-fan-zone");
       p.batched = true;
-      p.executor = true;
       p.chunk = chunk;
       const CoupledRackResult chunked = CoupledRackEngine(p, threads).run();
       SCOPED_TRACE("chunk=" + std::to_string(chunk) +
                    " threads=" + std::to_string(threads));
       expect_identical(scalar, chunked);
-      expect_identical(pr4, chunked);
+      expect_identical(whole, chunked);
     }
   }
 }
 
 TEST(ChunkedRack, ScalarShardsThroughTheExecutorMatchToo) {
-  // executor on + batched off: shard unit is a slot; still bit-identical.
-  CoupledRackParams ref = rack_params("power-budget");
-  ref.batched = false;
-  ref.executor = false;
-  const CoupledRackResult scalar = CoupledRackEngine(ref, 1).run();
-  for (std::size_t threads : {1u, 8u}) {
-    CoupledRackParams p = rack_params("power-budget");
-    p.batched = false;
-    p.executor = true;
+  // batched off: the shard unit is a slot; any thread count is
+  // bit-identical to one.
+  CoupledRackParams p = rack_params("power-budget");
+  p.batched = false;
+  const CoupledRackResult scalar = CoupledRackEngine(p, 1).run();
+  for (std::size_t threads : {2u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical(scalar, CoupledRackEngine(p, threads).run());
   }
@@ -472,31 +466,28 @@ TEST(BatchedRoom, BitIdenticalToScalarPathAcross128Threads) {
 }
 
 TEST(ChunkedRoom, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
-  // References: the scalar ThreadPool room and the PR-4 whole-rack-chunk
-  // ThreadPool room; the chunked executor room must match both for chunk
-  // sizes {1, odd, auto} x {1, 2, 8} threads.
+  // References: the scalar room and the whole-rack-chunk room; the chunked
+  // room must match both for chunk sizes {1, odd, auto} x {1, 2, 8}
+  // threads.
   RoomParams scalar_params = default_room_scenario(2, 77, 240.0);
   scalar_params.scheduler = "thermal-headroom";
-  scalar_params.executor = false;
   for (CoupledRackParams& rack : scalar_params.racks) rack.batched = false;
   const RoomResult scalar = RoomEngine(scalar_params, 1).run();
 
-  RoomParams pr4_params = default_room_scenario(2, 77, 240.0);
-  pr4_params.scheduler = "thermal-headroom";
-  pr4_params.executor = false;
-  for (CoupledRackParams& rack : pr4_params.racks) {
+  RoomParams whole_params = default_room_scenario(2, 77, 240.0);
+  whole_params.scheduler = "thermal-headroom";
+  for (CoupledRackParams& rack : whole_params.racks) {
     rack.batched = true;
     rack.chunk = rack.rack.num_servers;  // one whole-rack chunk per rack
   }
-  const RoomResult pr4 = RoomEngine(pr4_params, 2).run();
-  expect_identical(scalar, pr4);
+  const RoomResult whole = RoomEngine(whole_params, 2).run();
+  expect_identical(scalar, whole);
 
   for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, std::size_t{7},
                             std::size_t{0} /* auto */}) {
     for (std::size_t threads : {1u, 2u, 8u}) {
       RoomParams p = default_room_scenario(2, 77, 240.0);
       p.scheduler = "thermal-headroom";
-      p.executor = true;
       for (CoupledRackParams& rack : p.racks) {
         rack.batched = true;
         rack.chunk = chunk;
@@ -505,7 +496,7 @@ TEST(ChunkedRoom, BitIdenticalAcrossChunkSizesThreadsAndDrivers) {
       SCOPED_TRACE("chunk=" + std::to_string(chunk) +
                    " threads=" + std::to_string(threads));
       expect_identical(scalar, chunked);
-      expect_identical(pr4, chunked);
+      expect_identical(whole, chunked);
     }
   }
 }

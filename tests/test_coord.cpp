@@ -1,7 +1,8 @@
 // coord/ subsystem tests: coordinator registry, plenum physics, water-fill
 // arbitration, lockstep determinism (bit-identical across thread counts),
-// equivalence with the uncoupled BatchRunner, trace round-trips through
-// the rack, and the coordination benefit on the default scenario.
+// equivalence of an uncoupled rack with standalone per-slot simulations,
+// trace round-trips through the rack, and the coordination benefit on the
+// default scenario.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,7 +13,8 @@
 #include "coord/plenum.hpp"
 #include "coord/policies.hpp"
 #include "core/policy_factory.hpp"
-#include "rack/batch_runner.hpp"
+#include "rack/rack.hpp"
+#include "sim/simulation.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/trace_io.hpp"
 
@@ -270,30 +272,88 @@ TEST(CoupledRackEngine, RepeatedRunsAreIdentical) {
   expect_identical(engine.run(), engine.run());
 }
 
-TEST(CoupledRackEngine, UncoupledIndependentMatchesBatchRunnerExactly) {
-  // plenum off + no-op coordinator: the lockstep engine must reproduce the
-  // embarrassingly-parallel BatchRunner bit for bit (same specs, same RNG
+/// One slot run on its own, outside any rack.
+struct StandaloneSlot {
+  SolutionResult result;
+  std::size_t deadline_periods = 0;
+  std::size_t deadline_violations = 0;
+};
+
+/// The oracle for an uncoupled rack: run_simulation over each spec, built
+/// in the engine's order (seeded Rng, workload, server, policy).
+std::vector<StandaloneSlot> run_slots_standalone(const RackParams& params) {
+  std::vector<StandaloneSlot> out;
+  const Rack rack(params);
+  for (const RackServerSpec& spec : rack.servers()) {
+    Rng rng(spec.seed);
+    const auto workload = make_slot_workload(spec, rng);
+    Server server(spec.server, spec.solution.initial_fan_rpm, rng);
+    const auto dtm =
+        PolicyFactory::instance().make(params.policy, spec.solution);
+    const SimulationResult r =
+        run_simulation(server, *dtm, *workload, params.sim);
+    out.push_back({r.summarize("slot-" + std::to_string(spec.index)),
+                   r.deadline.periods(), r.deadline.violations()});
+  }
+  return out;
+}
+
+TEST(CoupledRackEngine, UncoupledIndependentMatchesStandaloneRunsExactly) {
+  // plenum off + no-op coordinator: the lockstep engine must reproduce a
+  // standalone simulation of every slot bit for bit (same specs, same RNG
   // streams, same physics — only the execution schedule differs).
   CoupledRackParams p = small_params();
   p.plenum_enabled = false;
-  const CoupledRackResult coupled = CoupledRackEngine(p, 3).run();
-  const RackResult batch = BatchRunner(2).run(Rack(p.rack));
-  ASSERT_EQ(coupled.size(), batch.size());
-  for (std::size_t i = 0; i < coupled.size(); ++i) {
-    EXPECT_EQ(coupled.slots[i].result.fan_energy_joules,
-              batch.servers[i].result.fan_energy_joules);
-    EXPECT_EQ(coupled.slots[i].result.cpu_energy_joules,
-              batch.servers[i].result.cpu_energy_joules);
-    EXPECT_EQ(coupled.slots[i].deadline_violations,
-              batch.servers[i].deadline_violations);
-    EXPECT_EQ(coupled.slots[i].result.max_junction_celsius,
-              batch.servers[i].result.max_junction_celsius);
-    EXPECT_EQ(coupled.slots[i].result.thermal_violation_percent,
-              batch.servers[i].result.thermal_violation_percent);
+  const std::vector<StandaloneSlot> solo = run_slots_standalone(p.rack);
+  double fan = 0.0;
+  double cpu = 0.0;
+  std::size_t periods = 0;
+  std::size_t violations = 0;
+  for (const StandaloneSlot& s : solo) {
+    fan += s.result.fan_energy_joules;
+    cpu += s.result.cpu_energy_joules;
+    periods += s.deadline_periods;
+    violations += s.deadline_violations;
   }
-  EXPECT_EQ(coupled.total_energy_joules, batch.total_energy_joules);
-  EXPECT_EQ(coupled.deadline_violation_percent,
-            batch.deadline_violation_percent);
+  ASSERT_GT(periods, 0u);
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    const CoupledRackResult coupled = CoupledRackEngine(p, threads).run();
+    ASSERT_EQ(coupled.size(), solo.size());
+    for (std::size_t i = 0; i < coupled.size(); ++i) {
+      EXPECT_EQ(coupled.slots[i].result.fan_energy_joules,
+                solo[i].result.fan_energy_joules);
+      EXPECT_EQ(coupled.slots[i].result.cpu_energy_joules,
+                solo[i].result.cpu_energy_joules);
+      EXPECT_EQ(coupled.slots[i].deadline_violations,
+                solo[i].deadline_violations);
+      EXPECT_EQ(coupled.slots[i].result.max_junction_celsius,
+                solo[i].result.max_junction_celsius);
+      EXPECT_EQ(coupled.slots[i].result.thermal_violation_percent,
+                solo[i].result.thermal_violation_percent);
+    }
+    EXPECT_EQ(coupled.total_energy_joules, fan + cpu);
+    EXPECT_EQ(coupled.deadline_violation_percent,
+              100.0 * static_cast<double>(violations) /
+                  static_cast<double>(periods));
+  }
+}
+
+TEST(CoupledRackEngine, ReportsActualSimulatedDuration) {
+  // A fractional duration rounds up to whole CPU periods inside the engine;
+  // the rack aggregate must report what was actually simulated.
+  CoupledRackParams p = small_params(2);
+  p.rack.sim.duration_s = 100.5;
+  p.rack.workload.base.duration_s = 101.0;
+  const CoupledRackResult r = CoupledRackEngine(p, 1).run();
+  EXPECT_EQ(r.duration_s, 101.0);
+  EXPECT_EQ(r.slots[0].duration_s, 101.0);
+}
+
+TEST(CoupledRackEngine, UnknownDtmPolicyThrows) {
+  CoupledRackParams p = small_params();
+  p.rack.policy = "no-such-policy";
+  EXPECT_THROW(CoupledRackEngine(p, 2).run(), std::out_of_range);
 }
 
 TEST(CoupledRackEngine, PlenumCouplingRaisesInletsAboveBase) {
@@ -434,17 +494,24 @@ TEST(TraceDrivenRack, SaveLoadRoundTripGivesIdenticalSlotSummaries) {
   RackParams p_loaded = p;
   p_loaded.traces.assign(loaded.begin(), loaded.end());
 
-  const RackResult a = BatchRunner(2).run(Rack(p_orig));
-  const RackResult b = BatchRunner(2).run(Rack(p_loaded));
+  // The uncoupled rack: every slot replays its trace as a standalone run.
+  const auto run_uncoupled = [](const RackParams& rack) {
+    CoupledRackParams cp;
+    cp.rack = rack;
+    cp.plenum_enabled = false;
+    return CoupledRackEngine(cp, 2).run();
+  };
+  const CoupledRackResult a = run_uncoupled(p_orig);
+  const CoupledRackResult b = run_uncoupled(p_loaded);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.servers[i].result.fan_energy_joules,
-              b.servers[i].result.fan_energy_joules);
-    EXPECT_EQ(a.servers[i].result.cpu_energy_joules,
-              b.servers[i].result.cpu_energy_joules);
-    EXPECT_EQ(a.servers[i].result.max_junction_celsius,
-              b.servers[i].result.max_junction_celsius);
-    EXPECT_EQ(a.servers[i].deadline_violations, b.servers[i].deadline_violations);
+    EXPECT_EQ(a.slots[i].result.fan_energy_joules,
+              b.slots[i].result.fan_energy_joules);
+    EXPECT_EQ(a.slots[i].result.cpu_energy_joules,
+              b.slots[i].result.cpu_energy_joules);
+    EXPECT_EQ(a.slots[i].result.max_junction_celsius,
+              b.slots[i].result.max_junction_celsius);
+    EXPECT_EQ(a.slots[i].deadline_violations, b.slots[i].deadline_violations);
   }
   EXPECT_EQ(a.total_energy_joules, b.total_energy_joules);
 }

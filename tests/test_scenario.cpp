@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -86,6 +87,35 @@ TEST(ScenarioSpec, ValidateRejectsNonFiniteAndHugeDurations) {
   EXPECT_NE(validation_error(spec).find("duration_s"), std::string::npos);
 }
 
+TEST(ScenarioSpec, ValidateRejectsNegativeAndNonFiniteBudgets) {
+  // No magic negative sentinel: unset means "scenario default", and a
+  // budget that is set must be a finite number >= 0, else validate()
+  // names the field.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-10.0, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    ScenarioSpec spec;
+    spec.rack_budget_watts = bad;
+    EXPECT_NE(validation_error(spec).find("rack_budget_watts"),
+              std::string::npos)
+        << validation_error(spec);
+    spec = {};
+    spec.room_budget_watts = bad;
+    EXPECT_NE(validation_error(spec).find("room_budget_watts"),
+              std::string::npos)
+        << validation_error(spec);
+  }
+  for (const double ok : {0.0, 750.0}) {
+    ScenarioSpec spec;
+    spec.rack_budget_watts = ok;
+    spec.room_budget_watts = ok;
+    EXPECT_EQ(validation_error(spec), "");
+  }
+  EXPECT_THROW(
+      ScenarioSpec::from_json_text(R"({"rack_budget_watts": -10})").validate(),
+      std::invalid_argument);
+}
+
 TEST(ScenarioSpec, ValidateRejectsUnknownPolicyNames) {
   ScenarioSpec spec;
   spec.dtm = "no-such-policy";
@@ -150,6 +180,19 @@ TEST(ScenarioSpec, BuildRackKeepsScenarioDefaultsWhenUnset) {
   EXPECT_TRUE(p.faults.empty());
 }
 
+TEST(ScenarioSpec, ZeroBudgetLowersToTheDerivedBudget) {
+  // 0 is not "unset": it overrides the scenario's own budget with 0, which
+  // the coordinator and scheduler derive as 85 % of the aggregate peak.
+  ScenarioSpec spec;
+  spec.rack_budget_watts = 0.0;
+  EXPECT_EQ(spec.build_rack().coord.rack_power_budget_watts, 0.0);
+  spec.racks = 2;
+  spec.room_budget_watts = 0.0;
+  const RoomParams room = spec.build_room();
+  EXPECT_EQ(room.sched.room_power_budget_watts, 0.0);
+  EXPECT_EQ(room.racks[1].coord.rack_power_budget_watts, 0.0);
+}
+
 TEST(ScenarioSpec, BuildRackNeedsASingleRack) {
   ScenarioSpec spec;
   spec.racks = 3;
@@ -199,7 +242,6 @@ ScenarioSpec fancy_spec() {
   spec.threads = 4;
   spec.chunk = 2;
   spec.batched = false;
-  spec.executor = false;
   spec.trace_dir = "traces/";
   spec.faults.events.push_back(
       {FaultKind::kSensorNoisy, 1, 3, 120.0, 60.0, 3.0});
@@ -213,6 +255,24 @@ TEST(ScenarioSpec, JsonRoundTripIsExact) {
             ScenarioSpec{});
 }
 
+TEST(ScenarioSpec, BudgetJsonRoundTripKeepsUnsetZeroAndValue) {
+  for (const std::optional<double> budget :
+       {std::optional<double>(), std::optional<double>(0.0),
+        std::optional<double>(750.0)}) {
+    ScenarioSpec spec;
+    spec.rack_budget_watts = budget;
+    spec.room_budget_watts = budget;
+    const ScenarioSpec back = ScenarioSpec::from_json_text(spec.to_json());
+    EXPECT_EQ(back.rack_budget_watts, budget);
+    EXPECT_EQ(back.room_budget_watts, budget);
+  }
+  // An unset budget is written as null, and null reads back as unset.
+  EXPECT_NE(ScenarioSpec{}.to_json().find("\"rack_budget_watts\": null"),
+            std::string::npos);
+  EXPECT_FALSE(ScenarioSpec::from_json_text(R"({"room_budget_watts": null})")
+                   .room_budget_watts.has_value());
+}
+
 TEST(ScenarioSpec, MissingKeysKeepDefaults) {
   const ScenarioSpec spec =
       ScenarioSpec::from_json_text(R"({"slots": 3, "seed": 5})");
@@ -223,9 +283,10 @@ TEST(ScenarioSpec, MissingKeysKeepDefaults) {
 }
 
 TEST(ScenarioSpec, UnknownKeyThrows) {
-  // "simd" is a retired key: a file that still names it must be refused,
-  // not run with the key ignored.
-  for (const char* text : {R"({"slotz": 3})", R"({"simd": "on"})"}) {
+  // "simd", "executor" and "gather" are retired keys: a file that still
+  // names one must be refused, not run with the key ignored.
+  for (const char* text : {R"({"slotz": 3})", R"({"simd": "on"})",
+                           R"({"executor": true})", R"({"gather": true})"}) {
     try {
       ScenarioSpec::from_json_text(text);
       ADD_FAILURE() << "expected std::invalid_argument for " << text;

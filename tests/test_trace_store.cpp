@@ -1,8 +1,9 @@
 // Trace pack (workload/trace_store.*) tests: byte-level golden layout,
 // round-trips, dedup, quantization bounds, corrupt-file rejection, the
 // WorkloadTable gather path's bit-identity with the per-lane virtual path
-// (standalone and through the CoupledRackEngine across thread counts and
-// chunk sizes), the real-trace importers, and the trace-synthesis fitter.
+// (standalone, and through the CoupledRackEngine against the scalar oracle
+// across thread counts and chunk sizes, with and without a table), the
+// real-trace importers, and the trace-synthesis fitter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,9 +402,29 @@ CoupledRackParams pack_driven_params(
   return p;
 }
 
-TEST(GatherPath, BitIdenticalToPerLaneAcrossThreadsAndChunks) {
-  // THE tentpole guarantee: gather on == gather off, exactly, for every
-  // thread count and chunk size, on a pack-driven rack.
+/// The rack sweep every gather test runs: `params` at threads {1, 2, 8} x
+/// chunk {1, auto}, each EXPECT_EQ against `reference`.
+void expect_identical_across_threads_and_chunks(
+    const CoupledRackResult& reference, const CoupledRackParams& params) {
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {  // 0 = auto
+      CoupledRackParams p = params;
+      p.chunk = chunk;
+      // snprintf, not string operator+: GCC 12's -Wrestrict false-fires on
+      // the chained concatenation under -O2 (PR105651).
+      char label[64];
+      std::snprintf(label, sizeof label, "threads=%zu chunk=%zu", threads,
+                    chunk);
+      SCOPED_TRACE(label);
+      expect_identical(reference, CoupledRackEngine(p, threads).run());
+    }
+  }
+}
+
+TEST(GatherPath, BitIdenticalToScalarOracleAcrossThreadsAndChunks) {
+  // The table-driven batched rack must equal the scalar Server::step
+  // oracle (batched off, per-lane virtual demand over the same quantized
+  // pack) exactly, for every thread count and chunk size.
   const std::string path = temp_pack_path("engine.fst");
   TracePackWriter writer;
   std::mt19937_64 rng(21u);
@@ -418,29 +439,45 @@ TEST(GatherPath, BitIdenticalToPerLaneAcrossThreadsAndChunks) {
   writer.write(path);
   const auto store = TraceStore::open(path);
 
-  CoupledRackParams off = pack_driven_params(store);
-  off.gather = false;
-  const CoupledRackResult reference = CoupledRackEngine(off, 1).run();
+  CoupledRackParams scalar = pack_driven_params(store);
+  scalar.batched = false;
+  expect_identical_across_threads_and_chunks(
+      CoupledRackEngine(scalar, 1).run(), pack_driven_params(store));
+}
 
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    for (std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {  // 0 = auto
-      CoupledRackParams on = pack_driven_params(store);
-      on.gather = true;
-      on.chunk = chunk;
-      // snprintf, not string operator+: GCC 12's -Wrestrict false-fires on
-      // the chained concatenation under -O2 (PR105651).
-      char label[64];
-      std::snprintf(label, sizeof label, "threads=%zu chunk=%zu", threads,
-                    chunk);
-      SCOPED_TRACE(label);
-      expect_identical(reference, CoupledRackEngine(on, threads).run());
-    }
+TEST(GatherPath, TablelessRackFallsBackPerLaneBitIdentically) {
+  // One lane the WorkloadTable rejects (constant, lambda) drops the table
+  // for the whole rack; the batched rack then resolves demand per lane
+  // through Workload::demand and must still equal the scalar oracle.
+  std::vector<double> samples(130);
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = 0.5 + 0.4 * std::sin(0.07 * static_cast<double>(i));
   }
+  CoupledRackParams p;
+  p.rack.num_servers = 6;
+  p.rack.base_seed = 5;
+  p.rack.sim.duration_s = 120.0;
+  p.rack.sim.initial_utilization = 0.1;
+  p.coord.coordination_period_s = 30.0;
+  p.rack.traces = {
+      std::make_shared<const ConstantWorkload>(0.6),
+      std::make_shared<const SampledWorkload>(samples, 1.0),
+      std::make_shared<const LambdaWorkload>(
+          [](double t) { return 0.5 + 0.45 * std::sin(0.03 * t); }),
+  };
+  WorkloadTable table;
+  ASSERT_FALSE(table.add_lane(*p.rack.traces.front()));
+
+  CoupledRackParams scalar = p;
+  scalar.batched = false;
+  expect_identical_across_threads_and_chunks(CoupledRackEngine(scalar, 1).run(),
+                                             p);
 }
 
 TEST(GatherPath, SyntheticWorkloadsAlsoGather) {
   // Default (synthetic) workloads are pre-sampled SampledWorkloads, so the
-  // table engages there too — and must stay invisible.
+  // table engages there too — and must stay invisible against the scalar
+  // oracle.
   CoupledRackParams p;
   p.rack.num_servers = 5;
   p.rack.base_seed = 7;
@@ -449,11 +486,10 @@ TEST(GatherPath, SyntheticWorkloadsAlsoGather) {
   p.coordinator = "shared-fan-zone";
   p.coord.fan_zone_size = 2;
 
-  CoupledRackParams off = p;
-  off.gather = false;
-  const CoupledRackResult a = CoupledRackEngine(off, 1).run();
-  const CoupledRackResult b = CoupledRackEngine(p, 4).run();
-  expect_identical(a, b);
+  CoupledRackParams scalar = p;
+  scalar.batched = false;
+  expect_identical_across_threads_and_chunks(CoupledRackEngine(scalar, 1).run(),
+                                             p);
 }
 
 // -------------------------------------------------------------- importers
