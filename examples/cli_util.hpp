@@ -46,15 +46,27 @@ inline bool parse_nonnegative(const char* text, std::size_t& out) {
   return true;
 }
 
+/// Parse a real-valued flag value into `out`: the whole token must be a
+/// finite number, so "abc", "5abc", "inf", "nan" and "" are refused
+/// (std::atof would have read them as 0, 5, inf, nan and 0).  Returns
+/// false and leaves `out` untouched on anything else; the flag's range
+/// check and its usage note are the caller's.
+inline bool parse_finite(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
 /// Parse a power budget flag value ("--budget WATTS") into `out`.  The
 /// whole token must be a finite number >= 0 (0 = derived, 85 % of the
 /// aggregate peak draw).  Anything else — "abc", "-10", "inf", "10W" —
 /// prints a note naming the value and returns false so the caller can
 /// fall through to usage(); `out` is left untouched.
 inline bool parse_budget(const char* text, std::optional<double>& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0) {
+  double v = 0.0;
+  if (!parse_finite(text, v) || v < 0.0) {
     std::cerr << "--budget: expected a finite number of watts >= 0, got '"
               << text << "'\n";
     return false;
@@ -153,7 +165,8 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--duration") {
-    if (!has_value || (spec.duration_s = std::atof(argv[++i])) <= 0.0) {
+    if (!has_value || !parse_finite(argv[++i], spec.duration_s) ||
+        spec.duration_s <= 0.0) {
       return bad("expected a positive duration in seconds");
     }
     return ScenarioFlag::kConsumed;
@@ -183,19 +196,22 @@ inline ScenarioFlag consume_scenario_flag(fsc::ScenarioSpec& spec, int argc,
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--plant-watts") {
-    if (!has_value) return bad("expected a capacity in watts (< 0 = infinite)");
-    spec.plant_capacity_watts = std::atof(argv[++i]);
+    if (!has_value || !parse_finite(argv[++i], spec.plant_capacity_watts)) {
+      return bad("expected a capacity in watts (< 0 = infinite)");
+    }
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--supply-amplitude") {
-    if (!has_value || (spec.supply_amplitude_c = std::atof(argv[++i])) < 0.0) {
+    if (!has_value || !parse_finite(argv[++i], spec.supply_amplitude_c) ||
+        spec.supply_amplitude_c < 0.0) {
       return bad("expected a non-negative offset in celsius");
     }
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--facility-period") {
-    if (!has_value) return bad("expected a period in seconds (<= 0 = every round)");
-    spec.facility_period_s = std::atof(argv[++i]);
+    if (!has_value || !parse_finite(argv[++i], spec.facility_period_s)) {
+      return bad("expected a period in seconds (<= 0 = every round)");
+    }
     return ScenarioFlag::kConsumed;
   }
   if (arg == "--two-level") {

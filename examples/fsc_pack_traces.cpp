@@ -51,7 +51,7 @@ int usage() {
          "  --variants N          append N fitted seeded variants per source\n"
          "  --variant-seed S      base seed for the variants (default 1)\n"
          "  --variant-duration T  variant length in seconds (default: source)\n";
-  return 2;
+  return 1;
 }
 
 struct SourceTrace {
@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
         if (!need_value(i)) return usage();
         out_dir = argv[++i];
       } else if (arg == "--bucket") {
-        if (!need_value(i) || (bucket_s = std::atof(argv[++i])) <= 0.0) {
+        if (!need_value(i) || !fsc_cli::parse_finite(argv[++i], bucket_s) ||
+            bucket_s <= 0.0) {
           return usage();
         }
       } else if (arg == "--variants") {
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
             static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 10));
       } else if (arg == "--variant-duration") {
         if (!need_value(i) ||
-            (variant_duration_s = std::atof(argv[++i])) <= 0.0) {
+            !fsc_cli::parse_finite(argv[++i], variant_duration_s) ||
+            variant_duration_s <= 0.0) {
           return usage();
         }
       } else if (arg == "--csv-dir") {

@@ -116,7 +116,10 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--step") {
-      spec.migration_step = std::atof(argv[++i]);
+      if (!fsc_cli::parse_finite(argv[++i], spec.migration_step)) {
+        std::cerr << "--step: expected a number\n";
+        return usage(argv[0]);
+      }
     } else if (arg == "--trace-out") {
       obs.trace_path = argv[++i];
     } else if (arg == "--metrics-out") {

@@ -40,7 +40,8 @@ void RackBatchStepper::set_workload_table(const WorkloadTable* table) {
 
 void RackBatchStepper::prepare() {
   if (slots_.empty()) return;
-  batch_.prepare_dt(slots_.front().session->params().physics_dt_s);
+  const SimulationEngine::Session& first = *slots_.front().session;
+  batch_.prepare_period(first.params().physics_dt_s, first.physics_per_period());
   if (table_ != nullptr) demand_buf_.resize(slots_.size());
 }
 
@@ -94,23 +95,22 @@ void RackBatchStepper::advance_range_periods(std::size_t lo, std::size_t hi,
     }
     if (!any_active) return;  // all sessions in this range are done
 
-    // Phase 2 — batched physics: one SoA step over the range per substep
-    // (plant + accounting), plus the sensor samples of the lanes that
-    // passed a sampling instant.
-    for (long s = 0; s < substeps; ++s) {
-      if (batch_.step_range(lo, hi, dt)) take_due_samples(lo, hi);
-    }
+    // Phase 2 — batched physics: the whole period over the range in one
+    // kernel call (plant + accounting), then the sensor samples of the
+    // sampling instants it passed, replayed in order.
+    batch_.step_period(lo, hi, dt, substeps);
+    replay_samples(lo, hi);
 
     // Phase 3 — write each slot's state back once, then close its period.
     finish_range_period(lo, hi, substeps);
   }
 }
 
-void RackBatchStepper::take_due_samples(std::size_t lo, std::size_t hi) {
+void RackBatchStepper::replay_samples(std::size_t lo, std::size_t hi) {
   for (std::size_t i = lo; i < hi; ++i) {
     if (!active_[i]) continue;
-    for (unsigned k = batch_.samples_due(i); k > 0; --k) {
-      slots_[i].server->sample_sensor(batch_.junction_celsius(i));
+    for (const double tj : batch_.period_samples(i)) {
+      slots_[i].server->sample_sensor(tj);
     }
   }
 }
@@ -180,10 +180,9 @@ void RackBatchStepper::advance_range_periods_masked(std::size_t lo,
     if (any_batched_active) {
       // Forced lanes have active_ = 0, so neither the samples nor the
       // write-back ever touch them from their stale batch state.
-      for (long s = 0; s < substeps; ++s) {
-        for (const auto& [a, b] : segments) {
-          if (batch_.step_range(a, b, dt)) take_due_samples(a, b);
-        }
+      for (const auto& [a, b] : segments) {
+        batch_.step_period(a, b, dt, substeps);
+        replay_samples(a, b);
       }
       finish_range_period(lo, hi, substeps);
     }

@@ -7,11 +7,12 @@
 //      command, workload resolution) — control stays per-entity;
 //   2. the per-slot inputs are gathered ONCE into the SoA kernel (CPU
 //      power at the period's executed utilization, the clamped fan
-//      command, the current inlet temperature), then each physics substep
-//      is one ServerBatch::step_range over the slots — plant plus energy,
-//      junction and sampling-phase accounting — followed, only at the
-//      substeps where the kernel reports a sensor sampling instant, by
-//      Server::sample_sensor on the lanes that reached one;
+//      command, the current inlet temperature), then ONE
+//      ServerBatch::step_period advances the slots through every physics
+//      substep of the period — plant plus energy, junction and
+//      sampling-phase accounting, in a single pass when the range is
+//      settled — and each slot's buffered sampling-instant junction
+//      values are replayed, in order, through Server::sample_sensor;
 //   3. every slot's state is written back into its Server ONCE
 //      (ServerBatch::write_back), then its finish_period() runs.
 //
@@ -93,8 +94,9 @@ class RackBatchStepper {
   const WorkloadTable* workload_table() const noexcept { return table_; }
 
   /// Freeze the dt-dependent kernel memos for the registered slots'
-  /// physics step.  Must run once — single-threaded — after the last
-  /// add_slot() and before any advance_chunk_periods() wave; idempotent.
+  /// physics step and size the kernel's per-period sample buffer.  Must
+  /// run once — single-threaded — after the last add_slot() and before
+  /// any advance_chunk_periods() wave; idempotent.
   void prepare();
 
   /// Advance only chunk `chunk` (slots [chunk * chunk_lanes(), ...)) by up
@@ -126,9 +128,9 @@ class RackBatchStepper {
   };
 
   void advance_range_periods(std::size_t lo, std::size_t hi, long periods);
-  /// Sensor samples owed after a step_range over [lo, hi) that reported a
-  /// sampling instant (active lanes only).
-  void take_due_samples(std::size_t lo, std::size_t hi);
+  /// The sensor samples a step_period over [lo, hi) buffered, replayed
+  /// in order through each active lane's Server::sample_sensor.
+  void replay_samples(std::size_t lo, std::size_t hi);
   /// The once-per-period write-back and finish_period() of every active
   /// lane in [lo, hi).
   void finish_range_period(std::size_t lo, std::size_t hi, long substeps);

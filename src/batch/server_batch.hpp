@@ -9,7 +9,8 @@
 // resistance/time-constant, fan power-law and slew limits) gathered once
 // from each Server at add_server().  Per-control-period inputs (CPU power,
 // fan command, inlet temperature) are gathered once per period via
-// set_inputs(); step_all(dt) then advances every lane.
+// set_inputs(); step_period() then advances a lane range through the whole
+// period (step_all(dt) / step_range() advance one substep).
 //
 // Bit-identity with the scalar path (Server::step) is by construction, not
 // by tolerance:
@@ -37,16 +38,38 @@
 // loop, so pass 1 (slew select) and pass 3 (multiply-add chains plus the
 // accounting) stay straight-line per-lane arithmetic and selects.
 //
+// step_period is the period-granular entry.  When every lane of its range
+// starts the period settled — fan on its command, transcendental memo
+// valid, dt below the sample period — nothing that feeds a substep changes
+// for the whole period: the fan power, the heat-sink steady state
+// `ambient + r_hs * P`, the die rise `r_die * P` and the energy increments
+// `P * dt` and `fan_w * dt` are the values step_range would recompute at
+// every substep, so they are computed once.  The period then runs as one
+// plant pass (substeps outer, lanes inner) that also records each
+// substep's junction value; the quantities that feed nothing back — the
+// energy integrals and the sampling phase — follow per lane in registers,
+// the phase branch-free (at most one wrap per substep when dt < period)
+// and shared by lanes that sample in lockstep, and the sampling instants
+// pick their junction values from the record.  Any other range runs
+// step_range's per-substep body.  Either way each quantity sees the same
+// FP operations in the same order, so the results are step_range's, bit
+// for bit.
+//
 // What is NOT here: the sensor's sample itself (noise, delay line, ADC)
 // and the per-slot RNG stay in the Server — they are stateful, sometimes
 // random, and needed only at the ~1-in-20 substeps where a sampling
-// instant falls.  step_range reports those instants (samples_due) and the
-// driver (batch/rack_stepper.hpp) calls Server::sample_sensor for exactly
-// those lanes.
+// instant falls.  step_range reports those instants (samples_due);
+// step_period buffers the junction value at each one (period_samples), and
+// the driver (batch/rack_stepper.hpp) replays them, in order, through
+// Server::sample_sensor.  Nothing reads the sensor inside a period, and
+// nothing else draws from a slot's RNG between its period's substeps, so
+// replaying a lane's samples after its substeps is the same call sequence
+// as taking them between substeps.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -98,6 +121,33 @@ class ServerBatch {
   /// std::logic_error otherwise).
   bool step_range(std::size_t lo, std::size_t hi, double dt);
 
+  /// Size the per-lane sample buffer step_period() fills for periods of up
+  /// to `substeps` substeps of `dt` seconds, then prepare_dt(dt).  Must
+  /// run — single-threaded — after the last add_server() and before any
+  /// step_period() wave.  Throws std::invalid_argument when dt < 0,
+  /// substeps < 0, or a lane's sample period is so short that one period
+  /// of `substeps` substeps could pass more than 2^20 sampling instants.
+  void prepare_period(double dt, long substeps);
+
+  /// Advance lanes [lo, hi) through one control period: `substeps`
+  /// substeps of `dt` seconds on the inputs of the last set_inputs().
+  /// Plant, accounting and memo tallies end exactly as after `substeps`
+  /// calls of step_range(lo, hi, dt); instead of samples_due() (left
+  /// unspecified), the junction value at every sampling instant the lanes
+  /// passed is buffered for period_samples().  Disjoint ranges may step
+  /// concurrently.  Requires lo <= hi <= size(), dt >= 0 and substeps >= 0
+  /// (std::invalid_argument), and prepare_period() for this dt and at
+  /// least this many substeps (std::logic_error otherwise).
+  void step_period(std::size_t lo, std::size_t hi, double dt, long substeps);
+
+  /// The junction temperatures lane `i` had at the sensor sampling
+  /// instants of its last step_period(), oldest first: the driver owes one
+  /// Server::sample_sensor per value, in this order.
+  std::span<const double> period_samples(std::size_t i) const noexcept {
+    return {period_samples_.data() + i * sample_stride_,
+            period_sample_count_[i]};
+  }
+
   /// Sensor sampling instants lane `i` passed in its last step: the
   /// driver owes that many Server::sample_sensor(junction_celsius(i))
   /// calls (more than one only when dt exceeds the sample period).
@@ -146,8 +196,8 @@ class ServerBatch {
     memo_misses_c_->reset();
   }
 
-  /// Per-slot outputs after the last step_all (or the gathered initial
-  /// state before the first).
+  /// Per-slot outputs after the last step (or the gathered initial state
+  /// before the first).
   double fan_rpm(std::size_t i) const noexcept { return fan_actual_[i]; }
   double heat_sink_celsius(std::size_t i) const noexcept { return heat_sink_[i]; }
   double junction_celsius(std::size_t i) const noexcept { return junction_[i]; }
@@ -156,6 +206,14 @@ class ServerBatch {
 
  private:
   void refresh_dt(double dt);
+  /// step_range's body over [lo, hi), inputs already validated.
+  bool step_lanes(std::size_t lo, std::size_t hi, double dt);
+  /// True when every lane in [lo, hi) is settled for a whole period of dt
+  /// substeps (see step_period).
+  bool settled(std::size_t lo, std::size_t hi, double dt) const;
+  /// step_period's one-pass body for a settled range.
+  void step_settled_period(std::size_t lo, std::size_t hi, double dt,
+                           long substeps);
 
   // State (SoA, one lane per slot).
   std::vector<double> heat_sink_;
@@ -195,6 +253,24 @@ class ServerBatch {
   std::vector<double> over_limit_s_;
   std::vector<double> phase_;           ///< seconds since the last sample
   std::vector<unsigned> samples_due_;   ///< instants passed in the last step
+
+  // step_period's per-period terms of a settled lane (scratch, per lane).
+  std::vector<double> hs_steady_;  ///< ambient + r_hs * P
+  std::vector<double> die_rise_;   ///< r_die * P
+  /// Longest period the settled pass takes: its sampling schedule is one
+  /// bit per substep.
+  static constexpr long kMaxSettledSubsteps = 64;
+  /// Lane i's junction value after substep s of the settled pass, at
+  /// [s * size() + i] — where the sampling instants read from.
+  std::vector<double> junction_history_;
+
+  // step_period's sample buffer: lane i's junction values at its sampling
+  // instants live at [i * sample_stride_, + period_sample_count_[i]).
+  std::vector<double> period_samples_;
+  std::vector<unsigned> period_sample_count_;
+  std::size_t sample_stride_ = 0;
+  double period_dt_ = -1.0;      ///< dt prepare_period() sized for
+  long period_substeps_ = -1;    ///< substeps prepare_period() sized for
 
   // Memoised transcendentals: valid while the lane's fan speed (and dt)
   // stay put.  memo_rpm_ = NaN marks "recompute".

@@ -1,13 +1,19 @@
 // Span tracing to Chrome/Perfetto trace-event JSON.
 //
-// Recording model: each recording thread owns a private RingBuffer of
-// fixed-size TraceEvents (util/ring_buffer.hpp), registered with the
-// recorder on that thread's first event.  Recording is therefore
-// lock-free after first contact — no shared ring, no cross-thread write
-// contention, and a full buffer evicts that thread's OLDEST events (the
-// tail of a long run wins, and dropped_events() reports the loss).  The
-// engines only record from stable worker threads and the barrier thread,
-// so the per-thread rings double as Perfetto "tracks".
+// Recording model: each recording thread owns a private ring of
+// fixed-size TraceEvents, registered with the recorder on that thread's
+// first event.  Recording is therefore lock-free after first contact — no
+// shared ring, no cross-thread write contention, and a full ring evicts
+// that thread's OLDEST events (the tail of a long run wins, and
+// dropped_events() reports the loss).  The engines only record from
+// stable worker threads and the barrier thread, so the per-thread rings
+// double as Perfetto "tracks".
+//
+// A ring's storage grows on demand, one fixed block of events at a time,
+// up to its capacity; blocks never move, so growth copies nothing.  A
+// large capacity therefore costs only the events actually recorded, and
+// a thread's first event pays for one small block — not for zeroing the
+// whole ring in the middle of the work it is timing.
 //
 // Timestamps are absolute steady-clock nanoseconds (monotonic_ns());
 // write_json() rebases them onto the recorder's construction instant so
@@ -28,8 +34,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "util/ring_buffer.hpp"
 
 namespace fsc::obs {
 
@@ -55,13 +59,12 @@ struct TraceEvent {
 /// quiesced (the engines' run() has returned).
 class TraceRecorder {
  public:
-  /// `per_thread_capacity` events are retained per recording thread; when
-  /// a thread overflows, its oldest events are evicted and counted in
-  /// dropped_events().  The default holds a multi-hour room day run with
-  /// room to spare (4 events/round x ~2880 rounds/day << 64 Ki) while
-  /// keeping the first-touch cost of a thread's ring (allocated on its
-  /// first event) in the single-digit-MB range — bench_obs_overhead gates
-  /// that cost.
+  /// `per_thread_capacity` events (0 means 1) are retained per recording
+  /// thread; when a thread overflows, its oldest events are evicted and
+  /// counted in dropped_events().  The default holds a multi-hour room day
+  /// run with room to spare (4 events/round x ~2880 rounds/day << 64 Ki).
+  /// Storage is allocated in blocks as events arrive (see above), so the
+  /// capacity is a bound, not an up-front cost.
   explicit TraceRecorder(std::size_t per_thread_capacity = std::size_t{1}
                                                            << 16);
   ~TraceRecorder();
@@ -96,9 +99,21 @@ class TraceRecorder {
                        const std::string& manifest_json = "") const;
 
  private:
+  /// One thread's ring: `capacity` slots in blocks of kBlockEvents,
+  /// allocated as the first lap reaches them.
   struct ThreadLog {
-    explicit ThreadLog(std::size_t capacity) : events(capacity) {}
-    RingBuffer<TraceEvent> events;
+    static constexpr std::size_t kBlockEvents = 1024;
+
+    explicit ThreadLog(std::size_t capacity) : capacity(capacity) {}
+    /// Append `ev`; when full, the oldest event is evicted and counted.
+    void push(const TraceEvent& ev);
+    /// Event `i` counted from the oldest retained one.
+    const TraceEvent& at(std::size_t i) const;
+
+    std::size_t capacity;
+    std::size_t head = 0;  ///< slot of the oldest retained event
+    std::size_t size = 0;  ///< events retained
+    std::vector<std::unique_ptr<TraceEvent[]>> blocks;
     std::uint64_t dropped = 0;
   };
 

@@ -13,8 +13,20 @@
 // [0, count), bumps the epoch to release the workers, processes the
 // caller's own shard on the calling thread, and spins/waits on an atomic
 // arrival counter until the wave is done.  In steady state a round is:
-// one epoch increment, one futex wake, N shard loops, N arrival
-// decrements — zero allocations, zero futures, zero mutexes.
+// one epoch increment, N shard loops, N arrival decrements — zero
+// allocations, zero futures, zero mutexes, and no system call.
+//
+// Waiting is spin-then-park on both sides.  A worker that finished its
+// shard spins on the epoch for kSpinBudgetNs of wall time before it parks
+// on the futex, so back-to-back rounds (the barrier's serial work is
+// usually shorter than that) neither pay the wake-up latency nor a wake
+// system call: the caller notifies only when some worker actually parked,
+// and a worker notifies the caller only when the caller parked.  The
+// budget is wall time, not an iteration count, because a `pause` costs
+// anywhere from ~10 to ~140 cycles depending on the CPU.  One millisecond
+// covers the serial barrier work of the engines' rounds (a few hundred
+// microseconds for a 256-server room) while bounding what an idle team
+// burns; OpenMP runtimes spin far longer by default.
 //
 // Determinism: shard assignment is a pure function of (count, size()), so
 // which participant executes which index never depends on scheduling.  The
@@ -32,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -48,6 +61,9 @@ namespace fsc {
 /// index space per epoch.
 class LockstepExecutor {
  public:
+  /// Wall time a waiting participant spins before it parks on the futex.
+  static constexpr std::int64_t kSpinBudgetNs = 1'000'000;
+
   /// Spawn `threads - 1` persistent workers (the caller is participant 0).
   /// Throws std::invalid_argument when `threads` is 0.
   explicit LockstepExecutor(std::size_t threads)
@@ -61,10 +77,10 @@ class LockstepExecutor {
     }
   }
 
-  /// Releases the parked workers with a final epoch bump and joins them.
+  /// Releases the workers with a final epoch bump and joins them.
   ~LockstepExecutor() {
     stopping_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
     epoch_.notify_all();
     for (std::thread& worker : workers_) worker.join();
   }
@@ -74,6 +90,12 @@ class LockstepExecutor {
 
   /// Total participants (calling thread included).
   std::size_t size() const noexcept { return threads_; }
+
+  /// Workers currently parked on the futex (spin budget exhausted) — for
+  /// tests and diagnostics; racy by nature.
+  std::size_t parked_workers() const noexcept {
+    return parked_.load(std::memory_order_relaxed);
+  }
 
   /// Execute fn(i) for every i in [0, count), partitioned into contiguous
   /// per-participant shards, and block until the whole wave is done.  `fn`
@@ -95,28 +117,58 @@ class LockstepExecutor {
     ctx_ = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
     count_ = count;
     pending_.store(threads_ - 1, std::memory_order_relaxed);
-    // The release fence on the epoch bump publishes invoke_/ctx_/count_;
-    // the workers' acquire loads of the epoch pick them up.
-    epoch_.fetch_add(1, std::memory_order_release);
-    epoch_.notify_all();
+    // The epoch bump publishes invoke_/ctx_/count_; the workers' acquire
+    // loads of the epoch pick them up.  It is seq_cst, like a parking
+    // worker's parked_ increment and epoch re-check, so either that worker
+    // sees the new epoch or this load sees it parked (no lost wake-up).
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst) != 0) epoch_.notify_all();
 
     run_shard(0);  // the caller is participant 0
 
-    // Arrival barrier: short spin for back-to-back rounds, then a futex
-    // wait.  The workers' acq_rel decrements make all shard writes visible
-    // here.
-    for (int spin = 0; spin < 256; ++spin) {
-      if (pending_.load(std::memory_order_acquire) == 0) break;
-    }
-    for (;;) {
-      const std::size_t left = pending_.load(std::memory_order_acquire);
-      if (left == 0) break;
-      pending_.wait(left, std::memory_order_acquire);
+    // Arrival barrier: spin, then park.  The workers' decrements make all
+    // shard writes visible here.
+    if (!spin_until([this] {
+          return pending_.load(std::memory_order_acquire) == 0;
+        })) {
+      caller_parked_.store(true, std::memory_order_seq_cst);
+      for (;;) {
+        const std::size_t left = pending_.load(std::memory_order_seq_cst);
+        if (left == 0) break;
+        pending_.wait(left, std::memory_order_acquire);
+      }
+      caller_parked_.store(false, std::memory_order_relaxed);
     }
     rethrow_first_error();
   }
 
  private:
+  /// Spin until `done()` holds or kSpinBudgetNs of wall time pass; returns
+  /// the last `done()`.  Every 16th pause also reads the clock and yields,
+  /// so an oversubscribed host (more participants than cores) hands the
+  /// core to a thread that still has work instead of burning it.
+  template <typename Done>
+  static bool spin_until(Done done) {
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::nanoseconds(kSpinBudgetNs);
+    for (unsigned spin = 1;; ++spin) {
+      if (done()) return true;
+      cpu_relax();
+      if (spin % 16 == 0) {
+        if (std::chrono::steady_clock::now() >= deadline) return done();
+        std::this_thread::yield();
+      }
+    }
+  }
+
+  static void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
   /// Contiguous shard of participant p over `count_` indices:
   /// [count*p/P, count*(p+1)/P) — balanced to within one index.
   void run_shard(std::size_t p) noexcept {
@@ -142,16 +194,23 @@ class LockstepExecutor {
   void worker_loop(std::size_t p) {
     std::uint64_t seen = 0;
     for (;;) {
-      std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
-      while (epoch == seen) {
+      if (!spin_until([this, seen] {
+            return epoch_.load(std::memory_order_acquire) != seen;
+          })) {
+        parked_.fetch_add(1, std::memory_order_seq_cst);
         // wait() may return spuriously; re-check the epoch each time.
-        epoch_.wait(seen, std::memory_order_acquire);
-        epoch = epoch_.load(std::memory_order_acquire);
+        while (epoch_.load(std::memory_order_seq_cst) == seen) {
+          epoch_.wait(seen, std::memory_order_acquire);
+        }
+        parked_.fetch_sub(1, std::memory_order_relaxed);
       }
-      seen = epoch;
+      seen = epoch_.load(std::memory_order_acquire);
       if (stopping_.load(std::memory_order_acquire)) return;
       run_shard(p);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // seq_cst against the caller's caller_parked_ store and pending_
+      // re-check, as for the epoch above.
+      if (pending_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+          caller_parked_.load(std::memory_order_seq_cst)) {
         pending_.notify_one();
       }
     }
@@ -170,6 +229,8 @@ class LockstepExecutor {
   // arrival decrements never bounce the epoch line mid-round.
   alignas(64) std::atomic<std::uint64_t> epoch_{0};
   alignas(64) std::atomic<std::size_t> pending_{0};
+  std::atomic<bool> caller_parked_{false};  ///< caller waits on pending_
+  alignas(64) std::atomic<std::size_t> parked_{0};  ///< workers on epoch_
   std::atomic<bool> stopping_{false};
 };
 

@@ -12,7 +12,11 @@
 // The fused accounting (energy, junction statistics, time over the thermal
 // limit, sensor sampling phase) is held to the same standard: the N = 1
 // oracle compares the whole Server at every period boundary, for substeps
-// that divide the sample period, do not, and exceed it.
+// that divide the sample period, do not, and exceed it.  The period-
+// granular entry (step_period) is held against both step_range once per
+// substep and Server::step, over settled, slewing and mixed chunks, split
+// and partial ranges, finished lanes, noisy sensors and several samples
+// per substep, down to the memo tallies.
 //
 // Every comparison below uses exact double equality (EXPECT_EQ), because
 // the design guarantee is "same FP operations in the same per-slot order",
@@ -20,7 +24,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "batch/plant_kernel.hpp"
 #include "batch/server_batch.hpp"
@@ -327,6 +333,325 @@ TEST(ServerBatch, CommandIsClampedIntoTheFanEnvelope) {
   batch.set_inputs(0, 100.0, 0.0, 42.0);
   for (int s = 0; s < 400; ++s) batch.step_all(kDt);
   EXPECT_EQ(batch.fan_rpm(0), server.params().fan.min_rpm);
+}
+
+// ------------------------------------ step_period vs step_range vs scalar
+
+void expect_same_server(const Server& a, const Server& b) {
+  EXPECT_EQ(a.true_junction(), b.true_junction());
+  EXPECT_EQ(a.true_heat_sink(), b.true_heat_sink());
+  EXPECT_EQ(a.fan_speed_actual(), b.fan_speed_actual());
+  EXPECT_EQ(a.sensor_phase(), b.sensor_phase());
+  EXPECT_EQ(a.measured_temp(), b.measured_temp());
+  EXPECT_EQ(a.energy().cpu_energy(), b.energy().cpu_energy());
+  EXPECT_EQ(a.energy().fan_energy(), b.energy().fan_energy());
+  EXPECT_EQ(a.energy().elapsed(), b.energy().elapsed());
+  EXPECT_EQ(a.junction_stats().count(), b.junction_stats().count());
+  EXPECT_EQ(a.junction_stats().mean(), b.junction_stats().mean());
+  EXPECT_EQ(a.junction_stats().m2(), b.junction_stats().m2());
+  EXPECT_EQ(a.junction_stats().sum(), b.junction_stats().sum());
+  EXPECT_EQ(a.junction_stats().min(), b.junction_stats().min());
+  EXPECT_EQ(a.junction_stats().max(), b.junction_stats().max());
+  EXPECT_EQ(a.over_limit_seconds(), b.over_limit_seconds());
+}
+
+/// Three identical fleets of servers, one per stepping path: a batch
+/// driven by step_period plus the sample replay (what RackBatchStepper
+/// does), a twin batch driven by step_range once per substep plus its
+/// samples_due, and scalar Server::step.  Slot i of every fleet draws from
+/// its own Rng, seeded alike, so with a noisy sensor a sample taken out of
+/// order, missed or doubled shows in the readings.
+class PeriodRig {
+ public:
+  PeriodRig(std::size_t n, const SensorChainParams& sensor, double dt,
+            long substeps)
+      : dt_(dt), substeps_(substeps) {
+    ServerParams params;
+    params.sensor = sensor;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (Fleet* f : {&period_, &range_, &scalar_}) {
+        f->rngs.push_back(std::make_unique<Rng>(100 + i));
+        f->servers.push_back(
+            std::make_unique<Server>(params, 2000.0, *f->rngs.back()));
+        f->servers.back()->reset_accounting(kOracleLimit);
+        f->batch.add_server(*f->servers.back());
+        f->batch.set_memo_telemetry(true);
+      }
+      active_.push_back(1);
+    }
+    period_.batch.prepare_period(dt, substeps);
+    range_.batch.prepare_dt(dt);
+  }
+
+  std::size_t size() const { return active_.size(); }
+  ServerBatch& period_batch() { return period_.batch; }
+  const Server& scalar(std::size_t i) const { return *scalar_.servers[i]; }
+
+  /// Lane i has finished: from now on the batches still step it (as the
+  /// engines do for a done session inside a chunk) but its Servers are
+  /// neither sampled nor written back, and the scalar twin stands still.
+  void deactivate(std::size_t i) { active_[i] = 0; }
+
+  /// One control period's inputs for lane i, gathered by every path.
+  void set_inputs(std::size_t i, double u, double cmd_rpm) {
+    for (Fleet* f : {&period_, &range_}) {
+      Server& server = *f->servers[i];
+      server.command_fan(cmd_rpm);
+      f->batch.set_inputs(i, server.cpu_power_now(u),
+                          server.fan_speed_commanded(),
+                          server.inlet_temperature());
+    }
+    scalar_.servers[i]->command_fan(cmd_rpm);
+    u_.resize(size());
+    u_[i] = u;
+  }
+
+  /// Whether every lane of [lo, hi) starts this period on its command
+  /// (the batch's settled test, read through the public accessors).
+  bool on_command(std::size_t lo, std::size_t hi) const {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (period_.batch.fan_rpm(i) != period_.servers[i]->fan_speed_commanded()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Step lanes [lo, hi) through one period on every path, then compare.
+  void step(std::size_t lo, std::size_t hi) {
+    period_.batch.step_period(lo, hi, dt_, substeps_);
+    std::vector<std::vector<double>> range_samples(size());
+    for (long s = 0; s < substeps_; ++s) {
+      if (!range_.batch.step_range(lo, hi, dt_)) continue;
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (unsigned k = range_.batch.samples_due(i); k > 0; --k) {
+          range_samples[i].push_back(range_.batch.junction_celsius(i));
+        }
+      }
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      SCOPED_TRACE(testing::Message() << "lane " << i);
+      const std::span<const double> samples = period_.batch.period_samples(i);
+      EXPECT_EQ(std::vector<double>(samples.begin(), samples.end()),
+                range_samples[i]);
+      samples_ += static_cast<long>(samples.size());
+      EXPECT_EQ(period_.batch.fan_rpm(i), range_.batch.fan_rpm(i));
+      EXPECT_EQ(period_.batch.heat_sink_celsius(i), range_.batch.heat_sink_celsius(i));
+      EXPECT_EQ(period_.batch.junction_celsius(i), range_.batch.junction_celsius(i));
+      EXPECT_EQ(period_.batch.fan_watts(i), range_.batch.fan_watts(i));
+      if (active_[i]) {
+        for (const double tj : samples) period_.servers[i]->sample_sensor(tj);
+        for (const double tj : range_samples[i]) range_.servers[i]->sample_sensor(tj);
+        period_.batch.write_back(i, *period_.servers[i]);
+        range_.batch.write_back(i, *range_.servers[i]);
+        for (long s = 0; s < substeps_; ++s) scalar_.servers[i]->step(u_[i], dt_);
+        expect_same_server(*period_.servers[i], *range_.servers[i]);
+        expect_same_server(*period_.servers[i], *scalar_.servers[i]);
+      } else {
+        // Everything write_back would hand over, compared on copies.
+        Server from_period = *period_.servers[i];
+        Server from_range = *range_.servers[i];
+        period_.batch.write_back(i, from_period);
+        range_.batch.write_back(i, from_range);
+        expect_same_server(from_period, from_range);
+      }
+    }
+    EXPECT_EQ(period_.batch.memo_hits(), range_.batch.memo_hits());
+    EXPECT_EQ(period_.batch.memo_shared_hits(), range_.batch.memo_shared_hits());
+    EXPECT_EQ(period_.batch.memo_misses(), range_.batch.memo_misses());
+  }
+
+  long samples() const { return samples_; }
+
+ private:
+  struct Fleet {
+    std::vector<std::unique_ptr<Rng>> rngs;
+    std::vector<std::unique_ptr<Server>> servers;
+    ServerBatch batch;
+  };
+  double dt_;
+  long substeps_;
+  Fleet period_;
+  Fleet range_;
+  Fleet scalar_;
+  std::vector<char> active_;
+  std::vector<double> u_;
+  long samples_ = 0;
+};
+
+/// Drive an 8-lane rig through settled, slewing and mixed periods, with
+/// whole, split and partial ranges and two lanes that finish early.
+/// Returns how many periods started with the stepped range on command.
+long drive_period_rig(PeriodRig& rig, long periods) {
+  long settled_periods = 0;
+  const std::size_t n = rig.size();
+  for (long p = 0; p < periods; ++p) {
+    SCOPED_TRACE(testing::Message() << "period " << p);
+    // Periods [0, 5): the fans' initial speed, so every lane is on its
+    // command from the start but the memo is still cold.  [5, 40):
+    // constant commands, so every lane settles and stays settled.
+    // [40, 60): every lane's command flips each period — all slewing.
+    // From 60: odd lanes flip, even lanes hold — mixed chunks.
+    const long block = p < 40 ? 0 : p < 60 ? 1 : 2;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = (p / 7 + static_cast<long>(i)) % 2 == 0 ? 0.25 : 0.85;
+      const bool flips = block == 1 || (block == 2 && i % 2 == 1);
+      const double base =
+          p < 5 ? 2000.0 : 2500.0 + 250.0 * static_cast<double>(i);
+      rig.set_inputs(i, u, flips && p % 2 == 1 ? 7000.0 : base);
+    }
+    if (p == 70) rig.deactivate(2);
+    if (p == 80) rig.deactivate(n - 1);
+    // Whole range, a split into two chunks, and a partial range that
+    // leaves the edge lanes idle for the period.
+    switch (p % 3) {
+      case 0:
+        settled_periods += rig.on_command(0, n) ? 1 : 0;
+        rig.step(0, n);
+        break;
+      case 1:
+        settled_periods += rig.on_command(0, 3) ? 1 : 0;
+        rig.step(3, n);
+        rig.step(0, 3);
+        break;
+      default:
+        settled_periods += rig.on_command(1, n - 1) ? 1 : 0;
+        rig.step(1, n - 1);
+        break;
+    }
+    if (testing::Test::HasFailure()) break;
+  }
+  return settled_periods;
+}
+
+TEST(StepPeriod, BitIdenticalToStepRangeAndServerStep) {
+  PeriodRig rig(8, SensorChainParams{}, kDt, kSubstepsPerPeriod);
+  const long settled = drive_period_rig(rig, 100);
+  EXPECT_GT(settled, 20);  // the one-pass path ran ...
+  EXPECT_LT(settled, 90);  // ... and so did the per-substep one
+  EXPECT_GT(rig.samples(), 500);
+  // The load square wave crosses the limit, so over-limit time is live.
+  EXPECT_GT(rig.scalar(0).over_limit_seconds(), 0.0);
+}
+
+TEST(StepPeriod, NoisySensorsReplayEachSlotsSamplesInOrder) {
+  SensorChainParams sensor;
+  sensor.noise_stddev = 0.6;
+  sensor.quantize = false;  // every noise draw reaches the reading
+  PeriodRig rig(8, sensor, kDt, kSubstepsPerPeriod);
+  EXPECT_GT(drive_period_rig(rig, 100), 20);
+}
+
+TEST(StepPeriod, DtThatDoesNotDivideTheSamplePeriod) {
+  // 0.03 s substeps, 1 s sampling: the wrap falls at a different substep
+  // each period, sometimes not at all.
+  PeriodRig rig(8, SensorChainParams{}, 0.03, kSubstepsPerPeriod);
+  EXPECT_GT(drive_period_rig(rig, 100), 20);
+  EXPECT_GT(rig.samples(), 300);
+}
+
+TEST(StepPeriod, SeveralSamplesPerSettledPeriod) {
+  // 0.3 s sampling under 0.05 s substeps: still one pass per settled
+  // period, with three or four instants in it, each replayed in order.
+  SensorChainParams sensor;
+  sensor.sample_period_s = 0.3;
+  sensor.noise_stddev = 0.4;
+  PeriodRig rig(8, sensor, kDt, kSubstepsPerPeriod);
+  EXPECT_GT(drive_period_rig(rig, 100), 20);
+  EXPECT_GT(rig.samples(), 2000);
+}
+
+TEST(StepPeriod, DtAtOrAboveTheSamplePeriodTakesSeveralSamplesPerSubstep) {
+  // 0.02 s and 0.05 s sampling under 0.05 s substeps: one to three
+  // instants per substep, so the settled one-pass path never applies and
+  // the buffered per-substep path carries every sample, in order.
+  for (const double period : {0.02, 0.05}) {
+    SCOPED_TRACE(testing::Message() << "sample period " << period);
+    SensorChainParams sensor;
+    sensor.sample_period_s = period;
+    sensor.noise_stddev = 0.4;
+    PeriodRig rig(8, sensor, kDt, kSubstepsPerPeriod);
+    drive_period_rig(rig, 60);
+    // Every substep of every stepped lane sampled at least once.
+    EXPECT_GE(rig.samples(), 60 * kSubstepsPerPeriod * 6);
+  }
+}
+
+TEST(StepPeriod, MemoCountsAreExact) {
+  // Four identical lanes.  Slewing in lockstep for a whole period: one
+  // transcendental per substep, shared by the other three lanes.  Settled:
+  // every lane-substep a plain hit.
+  Rng rng(2);
+  std::vector<std::unique_ptr<Server>> servers;
+  ServerBatch batch;
+  for (std::size_t i = 0; i < 4; ++i) {
+    servers.push_back(std::make_unique<Server>(Server::table1_defaults(rng)));
+    batch.add_server(*servers.back());
+  }
+  batch.prepare_period(kDt, kSubstepsPerPeriod);
+  batch.set_memo_telemetry(true);
+
+  // On the initial 2000 rpm command but with a cold memo: the first
+  // substep computes once and shares, the rest hit.
+  for (std::size_t i = 0; i < 4; ++i) batch.set_inputs(i, 80.0, 2000.0, 40.0);
+  batch.step_period(0, 4, kDt, kSubstepsPerPeriod);
+  EXPECT_EQ(batch.memo_misses(), 1u);
+  EXPECT_EQ(batch.memo_shared_hits(), 3u);
+  EXPECT_EQ(batch.memo_hits(), 76u);
+  batch.reset_memo_counters();
+
+  for (std::size_t i = 0; i < 4; ++i) batch.set_inputs(i, 80.0, 6000.0, 40.0);
+  batch.step_period(0, 4, kDt, kSubstepsPerPeriod);  // 2000 -> 3000 rpm
+  EXPECT_EQ(batch.memo_misses(), 20u);
+  EXPECT_EQ(batch.memo_shared_hits(), 60u);
+  EXPECT_EQ(batch.memo_hits(), 0u);
+
+  for (int p = 0; p < 3; ++p) batch.step_period(0, 4, kDt, kSubstepsPerPeriod);
+  ASSERT_EQ(batch.fan_rpm(0), 6000.0);  // settled on the command
+  batch.reset_memo_counters();
+  batch.step_period(0, 4, kDt, kSubstepsPerPeriod);
+  EXPECT_EQ(batch.memo_misses(), 0u);
+  EXPECT_EQ(batch.memo_shared_hits(), 0u);
+  EXPECT_EQ(batch.memo_hits(), 80u);
+  batch.step_period(1, 3, kDt, kSubstepsPerPeriod);  // a partial range
+  EXPECT_EQ(batch.memo_hits(), 120u);
+}
+
+TEST(StepPeriod, RequiresAPreparedPeriod) {
+  Rng rng(1);
+  Server server = Server::table1_defaults(rng);
+  ServerBatch batch;
+  batch.add_server(server);
+  EXPECT_THROW(batch.step_period(0, 1, kDt, kSubstepsPerPeriod), std::logic_error);
+  batch.prepare_period(kDt, kSubstepsPerPeriod);
+  EXPECT_NO_THROW(batch.step_period(0, 1, kDt, kSubstepsPerPeriod));
+  EXPECT_NO_THROW(batch.step_period(0, 1, kDt, 5));  // fewer substeps fit
+  EXPECT_THROW(batch.step_period(0, 1, kDt, kSubstepsPerPeriod + 1),
+               std::logic_error);
+  EXPECT_THROW(batch.step_period(0, 1, 0.1, kSubstepsPerPeriod), std::logic_error);
+  EXPECT_THROW(batch.step_period(0, 2, kDt, kSubstepsPerPeriod),
+               std::invalid_argument);
+  EXPECT_THROW(batch.step_period(0, 1, -kDt, kSubstepsPerPeriod),
+               std::invalid_argument);
+  EXPECT_THROW(batch.prepare_period(kDt, -1), std::invalid_argument);
+  // step_all re-prepares another dt: the period buffers no longer match.
+  batch.step_all(0.1);
+  EXPECT_THROW(batch.step_period(0, 1, kDt, kSubstepsPerPeriod), std::logic_error);
+  // A new lane invalidates the buffers too.
+  Server other = Server::table1_defaults(rng);
+  batch.prepare_period(kDt, kSubstepsPerPeriod);
+  batch.add_server(other);
+  EXPECT_THROW(batch.step_period(0, 2, kDt, kSubstepsPerPeriod), std::logic_error);
+  // A sample period so short that one control period would buffer ~10^7
+  // samples per lane is refused up front, not allocated.
+  ServerParams params;
+  params.sensor.sample_period_s = 1e-7;
+  params.sensor.lag_s = 0.0;
+  Server fast_sampler(params, 2000.0, rng);
+  ServerBatch tiny;
+  tiny.add_server(fast_sampler);
+  EXPECT_THROW(tiny.prepare_period(kDt, kSubstepsPerPeriod), std::invalid_argument);
+  EXPECT_NO_THROW(tiny.prepare_period(kDt, 1));  // 5 * 10^5 instants fit
 }
 
 // --------------------------------------- full rack: batched vs scalar path

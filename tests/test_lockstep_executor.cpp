@@ -1,15 +1,18 @@
 // LockstepExecutor unit tests: contiguous pre-assigned shard spans,
 // exactly-once execution, epoch/barrier reuse across thousands of rounds,
+// the park/wake path past the spin budget (workers and caller),
 // exception propagation (and survival), caller participation, and a
 // determinism stress over 1/2/8 threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,6 +145,64 @@ TEST(LockstepExecutor, PropagatesCallerShardExceptionsToo) {
     ++calls;
   });
   EXPECT_EQ(calls, 8u);
+}
+
+/// Sleep until every worker of `exec` has exhausted its spin budget and
+/// parked on the futex (bounded, so a starved host fails instead of
+/// hanging).
+void wait_until_all_parked(const LockstepExecutor& exec) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (exec.parked_workers() < exec.size() - 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(
+        std::chrono::nanoseconds(2 * LockstepExecutor::kSpinBudgetNs));
+  }
+}
+
+TEST(LockstepExecutor, ParkedWorkersWakeForTheNextRound) {
+  // Rounds spaced further apart than the spin budget: every worker parks
+  // between them, so each round goes through the futex wake-up.  8
+  // threads oversubscribe a small host, which must not matter.
+  for (std::size_t threads : {4u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    LockstepExecutor exec(threads);
+    std::atomic<long> total{0};
+    long expected = 0;
+    for (int round = 0; round < 5; ++round) {
+      wait_until_all_parked(exec);
+      ASSERT_EQ(exec.parked_workers(), threads - 1) << "round " << round;
+      exec.run(32, [&total](std::size_t) {
+        total.fetch_add(1, std::memory_order_relaxed);
+      });
+      expected += 32;
+      ASSERT_EQ(total.load(), expected) << "round " << round;
+    }
+  }
+}
+
+TEST(LockstepExecutor, CallerParksWhileSlowShardsFinish) {
+  // The caller's shard returns at once while the workers' shards outlast
+  // the spin budget: the caller parks on the arrival counter and the last
+  // worker must wake it.  A parked round may also throw.
+  LockstepExecutor exec(4);
+  const auto slow = std::chrono::nanoseconds(5 * LockstepExecutor::kSpinBudgetNs);
+  std::atomic<int> ran{0};
+  for (int round = 0; round < 3; ++round) {
+    exec.run(4, [&](std::size_t i) {
+      if (i != 0) std::this_thread::sleep_for(slow);
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(ran.load(), 12);
+  wait_until_all_parked(exec);
+  EXPECT_THROW(exec.run(4,
+                        [slow](std::size_t i) {
+                          std::this_thread::sleep_for(slow);
+                          if (i == 3) throw std::runtime_error("slow shard 3");
+                        }),
+               std::runtime_error);
+  exec.run(4, [&ran](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(LockstepExecutor, DeterministicSumAcross128Threads) {

@@ -299,6 +299,63 @@ TEST(ObsTrace, OverflowEvictsOldestAndCounts) {
   EXPECT_EQ(rec.dropped_events(), 6u);
 }
 
+/// The `round` args of `rec`'s events, in write_json order.
+std::vector<long> recorded_rounds(const obs::TraceRecorder& rec) {
+  std::ostringstream os;
+  rec.write_json(os);
+  const std::string json = os.str();
+  std::vector<long> rounds;
+  const std::string key = "\"round\": ";
+  for (std::size_t pos = json.find(key); pos != std::string::npos;
+       pos = json.find(key, pos)) {
+    pos += key.size();
+    rounds.push_back(std::strtol(json.c_str() + pos, nullptr, 10));
+  }
+  return rounds;
+}
+
+std::vector<long> iota_rounds(long first, long last) {
+  std::vector<long> out;
+  for (long r = first; r < last; ++r) out.push_back(r);
+  return out;
+}
+
+TEST(ObsTrace, TinyRingsWrapAroundKeepingTheNewestInOrder) {
+  for (std::size_t capacity : {1u, 2u, 3u}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    obs::TraceRecorder rec(capacity);
+    const long pushed = 10;
+    for (long i = 0; i < pushed; ++i) rec.complete("e", "c", i, i + 1, 0, 0, i);
+    EXPECT_EQ(rec.recorded_events(), capacity);
+    EXPECT_EQ(rec.dropped_events(), pushed - capacity);
+    EXPECT_EQ(recorded_rounds(rec),
+              iota_rounds(pushed - static_cast<long>(capacity), pushed));
+  }
+  obs::TraceRecorder partial(3);  // never fills: nothing evicted
+  partial.complete("e", "c", 0, 1, 0, 0, 0);
+  partial.instant("i", "c", 0, 0, 1);
+  EXPECT_EQ(partial.dropped_events(), 0u);
+  EXPECT_EQ(recorded_rounds(partial), iota_rounds(0, 2));
+}
+
+TEST(ObsTrace, RingWrapsAcrossStorageBlocks) {
+  // A capacity that is not a multiple of the storage block, overrun by a
+  // few blocks' worth: the eviction order must not see the blocks.
+  obs::TraceRecorder rec(2500);
+  for (long i = 0; i < 6000; ++i) rec.complete("e", "c", i, i + 1, 0, 0, i);
+  EXPECT_EQ(rec.recorded_events(), 2500u);
+  EXPECT_EQ(rec.dropped_events(), 3500u);
+  EXPECT_EQ(recorded_rounds(rec), iota_rounds(3500, 6000));
+}
+
+TEST(ObsTrace, HugeCapacityKeepsEveryOneOfAFewEvents) {
+  obs::TraceRecorder rec(std::size_t{1} << 20);
+  for (long i = 0; i < 5; ++i) rec.complete("e", "c", i, i + 1, 0, 0, i);
+  EXPECT_EQ(rec.recorded_events(), 5u);
+  EXPECT_EQ(rec.dropped_events(), 0u);
+  EXPECT_EQ(recorded_rounds(rec), iota_rounds(0, 5));
+}
+
 TEST(ObsTrace, InternStoresStableCopies) {
   obs::TraceRecorder rec;
   std::string name = "thermal-headroom";
